@@ -45,8 +45,9 @@ validate_interaction(strategy)  # raises if the coupling could not be unitary
 describe("translucent swap (b92)", SessionConfig("b92", 10_000, eve=strategy, r_max=1.0, seed=3))
 print(f"  (probe readout ceiling: (1 + sin 2 theta)/2 = {(1 + math.sin(2 * theta)) / 2:.4f})")
 
-# Entangling form of the same idea: the forwarded pulse carries a joint
-# carrier-probe state; the probe is measured after sifting is public.
+# Entangling form of the same idea: the coupling mixes the two forwarded
+# carriers with amplitudes a, b; its output is still a product state, so
+# the tap forwards a qubit and keeps the probe, measured after sifting.
 describe(
     "entangling swap (b92)",
     SessionConfig("b92", 10_000, eve=entangling_swap_attack(theta), r_max=1.0, seed=4),

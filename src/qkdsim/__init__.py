@@ -17,7 +17,6 @@ from .distill import (
     DistillAccounting,
     ReconcileParams,
     apply_subsets,
-    block_length,
     default_block_policy,
     leaked_bits_bound,
     privacy_amplify,

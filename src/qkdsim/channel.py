@@ -19,7 +19,7 @@ log that every party -- including the eavesdropper -- can read.
 import hashlib
 from dataclasses import dataclass
 
-from .quantum import Ket2, Ket4
+from .quantum import Ket2
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,17 @@ class NoiseModel:
 
 @dataclass
 class Pulse:
-    """One time slot's light: photon count plus the (shared) photon state.
-
-    ``state`` is a Ket2, or a Ket4 after an entangling tap has attached
-    a probe; the joint form only ever carries a single photon.
-    """
+    """One time slot's light: photon count plus the polarization state all its photons share."""
 
     slot: int
     photons: int
-    state: object  # Ket2 | Ket4
+    state: Ket2
 
     def __post_init__(self):
         if self.photons < 1:
             raise ValueError("a pulse carries at least one photon")
-        if isinstance(self.state, Ket4) and self.photons != 1:
-            raise ValueError("a joint carrier-probe pulse carries exactly one photon")
+        if not isinstance(self.state, Ket2):
+            raise ValueError("a pulse state must be a Ket2")
 
 
 @dataclass(frozen=True)
@@ -103,12 +99,9 @@ def emit_pulse(slot: int, state: Ket2, noise: NoiseModel, rng) -> Pulse:
     return Pulse(slot, photons, state)
 
 
-def flip_state(state):
-    """90-degree polarization rotation, applied to the photon (carrier) part."""
-    if isinstance(state, Ket2):
-        return Ket2(-state.a1, state.a0)
-    c = state.c
-    return Ket4(-c[2], -c[3], c[0], c[1])
+def flip_state(state: Ket2) -> Ket2:
+    """90-degree polarization rotation."""
+    return Ket2(-state.a1, state.a0)
 
 
 def transmit(pulse: Pulse, noise: NoiseModel, tap, rng):

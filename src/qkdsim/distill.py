@@ -50,11 +50,6 @@ class ReconcileParams:
             raise ValueError("max_passes must be non-negative")
 
 
-def block_length(rate: float, params: ReconcileParams, key_len: int) -> int:
-    """Block length the given parameters choose at the given error rate."""
-    return params.block_policy(rate, key_len)
-
-
 @dataclass
 class DistillAccounting:
     """Public-exchange bookkeeping across reconciliation and amplification."""

@@ -8,8 +8,9 @@ Four attack families are modeled:
   entangling them: each code state is forwarded in a fixed modified
   state while the probe picks up a code-dependent state.
 * **Translucent (entangling)** -- the general unitary coupling whose
-  output mixes both forwarded carrier states with amplitudes ``a, b``;
-  the forwarded pulse becomes a joint carrier-probe state.
+  output mixes both forwarded carrier states with amplitudes ``a, b``.
+  Its output is still a product of carrier and probe, so the tap
+  forwards a qubit and keeps the probe, as the unitary form does.
 * **Photon-number splitting** -- divert one photon from any
   multi-photon pulse and store it, touching nothing else.
 
@@ -31,13 +32,7 @@ import numpy as np
 from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import Pulse
 from .errors import NotUnitary, StateNotInAlphabet
-from .quantum import (
-    Ket2,
-    Ket4,
-    inner,
-    measure_projective,
-    states_equal,
-)
+from .quantum import Ket2, inner, measure_projective, states_equal
 from .rng import Rng
 
 INTERACTION_TOL = 1e-8
@@ -123,27 +118,14 @@ class EveRecord:
             raise ValueError(f"slot {slot} already recorded")
         self.entries[slot] = (kind, *data)
 
-    def set_probe(self, slot: int, probe: Ket2) -> None:
-        """Attach the probe residual once the carrier has been measured."""
-        kind = self.entries.get(slot)
-        if kind is None or kind[0] != PROBE:
-            raise ValueError(f"slot {slot} holds no probe placeholder")
-        self.entries[slot] = (PROBE, probe)
-
     def __len__(self):
         return len(self.entries)
 
 
-def _entangled_outputs(strategy: EntanglingEve):
-    wp = np.kron(
-        strategy.a * strategy.out_plus.vec + strategy.b * strategy.out_minus.vec,
-        strategy.probe_plus.vec,
-    )
-    wm = np.kron(
-        strategy.b * strategy.out_plus.vec + strategy.a * strategy.out_minus.vec,
-        strategy.probe_minus.vec,
-    )
-    return wp, wm
+def _entangled_carriers(strategy: EntanglingEve):
+    """Unnormalised forwarded carriers ``a|out+> + b|out->`` and ``b|out+> + a|out->``."""
+    plus, minus = strategy.out_plus.vec, strategy.out_minus.vec
+    return strategy.a * plus + strategy.b * minus, strategy.b * plus + strategy.a * minus
 
 
 def validate_interaction(strategy) -> None:
@@ -159,30 +141,24 @@ def validate_interaction(strategy) -> None:
     """
     overlap_in = math.cos(2.0 * strategy.theta)
     if isinstance(strategy, TranslucentEve):
-        overlap_out = inner(strategy.out_plus, strategy.out_minus) * inner(
-            strategy.probe_plus, strategy.probe_minus
-        )
-        if abs(overlap_out - overlap_in) > INTERACTION_TOL:
-            raise NotUnitary(
-                f"output overlap {overlap_out:.8f} differs from input overlap {overlap_in:.8f}"
-            )
-        return
-    if isinstance(strategy, EntanglingEve):
+        carrier_overlap = inner(strategy.out_plus, strategy.out_minus)
+    elif isinstance(strategy, EntanglingEve):
         amp_norm = abs(strategy.a) ** 2 + abs(strategy.b) ** 2
         if abs(amp_norm - 1.0) > AMPLITUDE_TOL:
             raise NotUnitary(f"|a|^2 + |b|^2 = {amp_norm:.12f}, expected 1")
-        wp, wm = _entangled_outputs(strategy)
-        norm_p = float(np.linalg.norm(wp))
-        norm_m = float(np.linalg.norm(wm))
+        fp, fm = _entangled_carriers(strategy)
+        norm_p = float(np.linalg.norm(fp))
+        norm_m = float(np.linalg.norm(fm))
         if abs(norm_p - 1.0) > AMPLITUDE_TOL or abs(norm_m - 1.0) > AMPLITUDE_TOL:
             raise NotUnitary(f"output norms ({norm_p:.12f}, {norm_m:.12f}) are not 1")
-        overlap_out = complex(wp.conj() @ wm)
-        if abs(overlap_out - overlap_in) > INTERACTION_TOL:
-            raise NotUnitary(
-                f"output overlap {overlap_out:.8f} differs from input overlap {overlap_in:.8f}"
-            )
-        return
-    raise TypeError(f"not a translucent strategy: {type(strategy).__name__}")
+        carrier_overlap = complex(fp.conj() @ fm)
+    else:
+        raise TypeError(f"not a translucent strategy: {type(strategy).__name__}")
+    overlap_out = carrier_overlap * inner(strategy.probe_plus, strategy.probe_minus)
+    if abs(overlap_out - overlap_in) > INTERACTION_TOL:
+        raise NotUnitary(
+            f"output overlap {overlap_out:.8f} differs from input overlap {overlap_in:.8f}"
+        )
 
 
 def identity_translucent(theta: float) -> TranslucentEve:
@@ -253,6 +229,13 @@ class EveTap:
             if protocol != "b92":
                 raise ValueError("translucent taps are defined only on the B92 code states")
             validate_interaction(strategy)
+            if isinstance(strategy, TranslucentEve):
+                forwarded = (strategy.out_minus, strategy.out_plus)
+            else:
+                fp, fm = _entangled_carriers(strategy)
+                forwarded = (Ket2(*fm), Ket2(*fp))
+            # (forwarded carrier, probe left behind), indexed by the code bit.
+            self._translucent = tuple(zip(forwarded, (strategy.probe_minus, strategy.probe_plus)))
 
     def apply(self, pulse: Pulse) -> Pulse:
         s = self.strategy
@@ -262,7 +245,7 @@ class EveTap:
             return self._apply_opaque(pulse, s)
         if isinstance(s, PhotonSplitEve):
             return self._apply_split(pulse)
-        return self._apply_translucent(pulse, s)
+        return self._apply_translucent(pulse)
 
     def _apply_opaque(self, pulse: Pulse, s: OpaqueEve) -> Pulse:
         if self.rng.uniform() >= s.fraction:
@@ -281,28 +264,18 @@ class EveTap:
         self.record.add(pulse.slot, SPLIT, pulse.state)
         return Pulse(pulse.slot, pulse.photons - 1, pulse.state)
 
-    def _apply_translucent(self, pulse: Pulse, s) -> Pulse:
+    def _apply_translucent(self, pulse: Pulse) -> Pulse:
         state = pulse.state
-        if not isinstance(state, Ket2):
-            raise StateNotInAlphabet("tap is defined only on single-qubit code states")
-        plus, minus = self._code[1], self._code[0]
+        minus, plus = self._code
         if states_equal(state, plus):
             branch = 1
         elif states_equal(state, minus):
             branch = 0
         else:
             raise StateNotInAlphabet(f"incoming state {state!r} is not a +-theta code state")
-        if isinstance(s, TranslucentEve):
-            forwarded = s.out_plus if branch else s.out_minus
-            probe = s.probe_plus if branch else s.probe_minus
-            self.record.add(pulse.slot, PROBE, probe)
-            return Pulse(pulse.slot, pulse.photons, forwarded)
-        wp, wm = _entangled_outputs(s)
-        vec = wp if branch else wm
-        # Probe placeholder; the residual is attached after the carrier
-        # measurement, once sifting is public.
-        self.record.add(pulse.slot, PROBE, None)
-        return Pulse(pulse.slot, 1, Ket4(*vec))
+        forwarded, probe = self._translucent[branch]
+        self.record.add(pulse.slot, PROBE, probe)
+        return Pulse(pulse.slot, pulse.photons, forwarded)
 
 
 def discrimination_measurement(s0: Ket2, s1: Ket2):
@@ -403,11 +376,8 @@ def eve_guess(record: EveRecord, transcript, rng: Rng | None = None):
             bit, _ = measure_projective(entry[1], basis, rng)
             guesses[slot] = (bit, success)
         elif kind == PROBE:
-            probe = entry[1]
-            if probe is None:
-                continue
             s = record.strategy
             basis, success = discrimination_measurement(s.probe_minus, s.probe_plus)
-            bit, _ = measure_projective(probe, basis, rng)
+            bit, _ = measure_projective(entry[1], basis, rng)
             guesses[slot] = (bit, success)
     return guesses

@@ -35,17 +35,12 @@ from .distill import (
     privacy_amplify,
     reconcile,
 )
-from .errors import EmptySiftedKey, KeyExhausted, RestartRequired
+from .errors import EmptySiftedKey, KeyExhausted, ReconciliationFailed, RestartRequired
 from .eve import EntanglingEve, EveTap, NoEve, TranslucentEve, eve_guess
 from .otp import bits_to_string
-from .quantum import (
-    Ket4,
-    PovmOutcome,
-    build_povm,
-    measure_povm,
-    measure_povm_carrier,
-    measure_projective,
-)
+from .quantum import PovmOutcome, build_povm, measure_povm, measure_projective
+# Unused here, but perfbench/tracing.py wraps protocol.measure_povm_carrier by name.
+from .quantum import measure_povm_carrier  # noqa: F401
 from .rng import Rng
 
 ALPHABET_CHARS = ("+", "x")  # index = alphabet coin value
@@ -130,6 +125,7 @@ class RunReport:
     eve_guess_accuracy: float | None = None
     eve_final_key_info_estimate: float | None = None
     timings: dict = field(default_factory=dict)
+    transcript: PublicTranscript | None = field(default=None, repr=False, compare=False)
 
 
 def make_tap(cfg: SessionConfig, rng: Rng):
@@ -192,13 +188,7 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
             outcomes.append(None)
             bob_bits.append(None)
             continue
-        if isinstance(delivered.state, Ket4):
-            # Entangled tap: the carrier is read through the POVM and the
-            # probe residual goes back to the eavesdropper's record.
-            outcome, residual = measure_povm_carrier(delivered.state, povm, rng)
-            tap.record.set_probe(slot, residual)
-        else:
-            outcome = measure_povm(delivered.state, povm, rng)
+        outcome = measure_povm(delivered.state, povm, rng)
         received.append(True)
         outcomes.append(outcome)
         if outcome == PovmOutcome.INCONCLUSIVE:
@@ -299,18 +289,20 @@ def _eve_accuracy(tap, transcript, sift: SiftResult):
 def run_session(cfg: SessionConfig) -> RunReport:
     """Execute a full session: stage 1, sifting, estimation, distillation.
 
-    Aborts (threshold exceeded, empty sift, exhausted key) produce a
-    report with ``aborted=True`` and a reason; they are protocol
-    outcomes, not errors.
+    Aborts (threshold exceeded, empty sift, failed reconciliation,
+    exhausted key) produce a report with ``aborted=True`` and a reason;
+    they are protocol outcomes, not errors.
     """
     started = time.perf_counter()
     rng = Rng(cfg.seed)
     transcript = PublicTranscript()
     tap = make_tap(cfg, rng)
-    report = RunReport(cfg.protocol, cfg.n_pulses, cfg.seed)
-    report._transcript = transcript
+    report = RunReport(cfg.protocol, cfg.n_pulses, cfg.seed, transcript=transcript)
 
-    def finish():
+    def finish(abort_reason=None):
+        if abort_reason is not None:
+            report.aborted = True
+            report.abort_reason = abort_reason
         report.timings = {"total_seconds": time.perf_counter() - started}
         return report
 
@@ -322,37 +314,32 @@ def run_session(cfg: SessionConfig) -> RunReport:
     try:
         sift = sift_bb84(record, transcript) if cfg.protocol == "bb84" else sift_b92(record, transcript)
     except EmptySiftedKey:
-        report.aborted = True
-        report.abort_reason = "empty_sifted_key"
-        return finish()
+        return finish("empty_sifted_key")
 
     report.sifted_count = len(sift.slots)
+    report.disclosed_count = math.ceil(cfg.sample_fraction * report.sifted_count)
     try:
         rate, tent_a, tent_b = estimate_error(
             sift.raw_alice, sift.raw_bob, cfg.sample_fraction, rng, transcript, r_max=cfg.r_max
         )
     except RestartRequired as abort:
-        report.disclosed_count = math.ceil(cfg.sample_fraction * report.sifted_count)
-        report.error_rate = abort.rate
-        report.eve_guess_accuracy = _eve_accuracy(tap, transcript, sift)
-        report.aborted = True
-        report.abort_reason = "error_rate_exceeds_threshold"
-        return finish()
-
-    report.disclosed_count = report.sifted_count - len(tent_a)
+        rate, tent_a = abort.rate, None
     report.error_rate = rate
     report.eve_guess_accuracy = _eve_accuracy(tap, transcript, sift)
+    if tent_a is None:
+        return finish("error_rate_exceeds_threshold")
 
-    rec_a, rec_b, acct = reconcile(tent_a, tent_b, rate, cfg.reconcile, rng, transcript)
+    try:
+        rec_a, rec_b, acct = reconcile(tent_a, tent_b, rate, cfg.reconcile, rng, transcript)
+    except ReconciliationFailed:
+        return finish("reconciliation_failed")
     report.reconciled_length = len(rec_a)
     k = leaked_bits_bound(rate, len(rec_a), acct)
     report.leaked_bits = k
     try:
         final_a, subsets = privacy_amplify(rec_a, k, cfg.sec_param, rng, transcript, acct)
     except KeyExhausted:
-        report.aborted = True
-        report.abort_reason = "key_exhausted"
-        return finish()
+        return finish("key_exhausted")
     final_b = apply_subsets(rec_b, subsets)
 
     report.final_key_length = len(final_a)
@@ -363,5 +350,5 @@ def run_session(cfg: SessionConfig) -> RunReport:
 
 
 def session_transcript(report: RunReport):
-    """Transcript attached to a report by :func:`run_session`."""
-    return getattr(report, "_transcript", None)
+    """Transcript of the session that produced the report (None if it was built by hand)."""
+    return report.transcript

@@ -94,13 +94,6 @@ def test_flip_is_quarter_turn():
         assert abs(inner(flip_state(linear), linear)) < 1e-12
 
 
-def test_flip_rotates_joint_carrier():
-    joint = tensor(polarization(0.3), polarization(1.1))
-    flipped = flip_state(joint)
-    expected = tensor(apply_unitary(rotation(math.pi / 2), polarization(0.3)), polarization(1.1))
-    assert abs(inner(flipped, expected)) > 1 - 1e-12
-
-
 def _matched_basis_error_rate(alphabet, flip_p, n, seed):
     rng = Rng(seed)
     noise = NoiseModel(flip_p=flip_p)

@@ -9,7 +9,6 @@ from qkdsim import (
     ReconcileParams,
     Rng,
     apply_subsets,
-    block_length,
     default_block_policy,
     leaked_bits_bound,
     privacy_amplify,
@@ -43,8 +42,8 @@ class TestBlockLength:
     def test_key_length_cap(self):
         assert default_block_policy(0.0, 10) == 10
 
-    def test_block_length_wrapper(self):
-        assert block_length(0.03, ReconcileParams(), 4096) == 25
+    def test_three_percent_rate(self):
+        assert default_block_policy(0.03, 4096) == 25
 
 
 class TestReconcile:

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim import (
     EntanglingEve,
     EveTap,
     Ket2,
+    Ket4,
     NoiseModel,
     OpaqueEve,
     PhotonSplitEve,
@@ -22,7 +25,10 @@ from qkdsim import (
     eve_guess,
     identity_translucent,
     inner,
+    measure_povm,
+    measure_povm_carrier,
     polarization,
+    product_factors,
     run_session,
     run_stage1_bb84,
     run_stage1_b92,
@@ -156,26 +162,40 @@ def test_translucent_swap_probe_agreement_matches_helstrom():
     assert abs(hits / len(guesses) - closed_form) < 0.02
 
 
+def _entangled_joint(strategy, bit):
+    """Joint carrier-probe vector the coupling leaves for one code bit.
+
+    kron(a|out+> + b|out->, |probe+>) for bit 1 and
+    kron(b|out+> + a|out->, |probe->) for bit 0, normalised.
+    """
+    a, b = strategy.a, strategy.b
+    plus, minus = strategy.out_plus.vec, strategy.out_minus.vec
+    if bit:
+        joint = np.kron(a * plus + b * minus, strategy.probe_plus.vec)
+    else:
+        joint = np.kron(b * plus + a * minus, strategy.probe_minus.vec)
+    return joint / np.linalg.norm(joint)
+
+
 def test_entangling_bob_statistics_match_quadratic_forms():
     # Oracle: <J|(A_i (x) 1)|J> evaluated with plain numpy kron/dot on the
-    # two forwarded joint states.
+    # two joint states the coupling defines; the tap forwards their carrier.
     strategy = entangling_swap_attack(THETA)
     povm = build_povm(THETA)
     alpha = b92_alphabet(THETA)
     eye = np.eye(2, dtype=complex)
 
-    joints = {}
-    for bit in (0, 1):
-        tap = EveTap(strategy, "b92", Rng(0), theta=THETA)
-        out = tap.apply(Pulse(0, 1, alpha.encode(bit)))
-        joints[bit] = out.state
-
     expected = {}
-    for bit, joint in joints.items():
-        vec = joint.vec
+    for bit in (0, 1):
+        vec = _entangled_joint(strategy, bit)
         expected[bit] = [
             float((vec.conj() @ (np.kron(el, eye) @ vec)).real) for el in povm.elements()
         ]
+        tap = EveTap(strategy, "b92", Rng(0), theta=THETA)
+        out = tap.apply(Pulse(0, 1, alpha.encode(bit)))
+        carrier, _ = product_factors(Ket4(*vec))
+        assert isinstance(out.state, Ket2)
+        assert states_equal(out.state, carrier, tol=1e-12)
 
     cfg = SessionConfig("b92", 60_000, eve=strategy, seed=89, r_max=1.0)
     rng = Rng(cfg.seed)
@@ -192,6 +212,28 @@ def test_entangling_bob_statistics_match_quadratic_forms():
             want = expected[bit][idx]
             got = counts[bit][idx] / totals[bit]
             assert abs(got - want) < 3 * binomial_sigma(want, totals[bit]) + 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    bit=st.integers(0, 1),
+    theta=st.floats(0.05, math.pi / 4 - 0.05),
+)
+def test_entangling_tap_matches_joint_state_oracle(seed, bit, theta):
+    # Reading the forwarded qubit must give the outcome the carrier-side
+    # POVM gives on the joint state, draw for draw, and the recorded probe
+    # must be the joint state's probe factor.
+    strategy = entangling_swap_attack(theta)
+    povm = build_povm(theta)
+    tap = EveTap(strategy, "b92", Rng(seed), theta=theta)
+    out = tap.apply(Pulse(0, 1, b92_alphabet(theta).encode(bit)))
+    joint = Ket4(*_entangled_joint(strategy, bit))
+    want, residual = measure_povm_carrier(joint, povm, Rng(seed))
+    assert measure_povm(out.state, povm, Rng(seed)) == want
+    kind, probe = tap.record.entries[0]
+    assert kind == "probe"
+    assert states_equal(probe, residual, tol=1e-12)
 
 
 def test_split_leaves_single_photon_pulses_alone():

@@ -26,7 +26,8 @@ from qkdsim import (
     sift_bb84,
     translucent_swap_attack,
 )
-from qkdsim.errors import EmptySiftedKey, RestartRequired
+from qkdsim import protocol
+from qkdsim.errors import EmptySiftedKey, ReconciliationFailed, RestartRequired
 from qkdsim.protocol import make_tap
 from util import binomial_sigma
 
@@ -296,6 +297,18 @@ class TestRunSession:
                 assert not report.aborted
                 assert report.error_rate == 0.0
                 assert report.final_key_alice == report.final_key_bob
+
+    def test_reconciliation_failure_is_an_abort(self, monkeypatch):
+        def fail(*_args):
+            raise ReconciliationFailed("subset phase did not converge")
+
+        monkeypatch.setattr(protocol, "reconcile", fail)
+        report = run_session(SessionConfig("bb84", 2_000, noise=NoiseModel(flip_p=0.02), seed=138))
+        assert report.aborted
+        assert report.abort_reason == "reconciliation_failed"
+        assert report.error_rate is not None
+        assert report.reconciled_length is None
+        assert report.final_key_length == 0
 
     def test_eve_accuracy_reproducible_from_transcript(self):
         cfg = SessionConfig("b92", 15_000, eve=translucent_swap_attack(math.pi / 8), seed=137, r_max=1.0)
