@@ -5,7 +5,6 @@ import math
 
 from qkdsim import (
     PublicTranscript,
-    ReconcileParams,
     Rng,
     apply_subsets,
     leaked_bits_bound,
@@ -22,7 +21,7 @@ print("initial disagreements:", sum(1 for a, b in zip(key_a, key_b) if a != b))
 # Reconciliation posts block parities over the public transcript,
 # paying one discarded bit per posted parity, and bisects to each error.
 transcript = PublicTranscript()
-rec_a, rec_b, acct = reconcile(key_a, key_b, 0.03, ReconcileParams(), Rng(12), transcript)
+rec_a, rec_b, acct = reconcile(key_a, key_b, 0.03, Rng(12), transcript)
 print("keys equal after reconciliation:", rec_a == rec_b)
 print("parities posted:", acct.parity_bits_disclosed, "bits discarded:", acct.bits_discarded)
 print("remaining length:", len(rec_a), f"({acct.bits_discarded / 4096:.1%} consumed)")

@@ -15,7 +15,6 @@ from .alphabets import QuantumAlphabet, b92_alphabet, decode_by_basis, oblique_a
 from .channel import Message, NoiseModel, PublicTranscript, Pulse, emit_pulse, flip_state, transmit
 from .distill import (
     DistillAccounting,
-    ReconcileParams,
     apply_subsets,
     default_block_policy,
     leaked_bits_bound,

@@ -35,20 +35,8 @@ _RUN_DEFAULTS = {
     "sec_param": 10,
 }
 
-_CONFIG_TYPES = {
-    "protocol": str,
-    "n": int,
-    "seed": int,
-    "flip": float,
-    "loss": float,
-    "multi": float,
-    "theta": float,
-    "eve": str,
-    "eve-frac": float,
-    "sample-frac": float,
-    "rmax": float,
-    "sec-param": int,
-}
+# Config-file keys are the flag spellings; each default's type parses its value.
+_CONFIG_TYPES = {k.replace("_", "-"): type(v) for k, v in _RUN_DEFAULTS.items()}
 
 
 def _read_config_file(path: str) -> dict:

@@ -9,8 +9,8 @@ parity is paid for with one discarded bit and leaks nothing about the
 bits that remain.  A disagreeing parity triggers a bisective search:
 both halves are compared (and docked a bit each) and the search follows
 the disagreeing half until the erroneous bit is located and deleted.
-After the passes, random-subset parity checks with the same bisective
-repair run until ``n_clean`` consecutive checks agree.
+After ``MAX_PASSES`` passes, random-subset parity checks with the same
+bisective repair run until ``N_CLEAN`` consecutive checks agree.
 
 Privacy amplification then maps the reconciled key of length ``n`` to
 ``n - k - s`` bits, where ``k`` bounds what an eavesdropper may know and
@@ -19,9 +19,12 @@ posted (indices only) and the new key is their undisclosed parities.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import KeyExhausted, ReconciliationFailed
+
+N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
+MAX_PASSES = 4  # permute-and-partition passes before the subset checks
 
 
 def default_block_policy(rate: float, key_len: int) -> int:
@@ -30,36 +33,14 @@ def default_block_policy(rate: float, key_len: int) -> int:
     return max(4, min(raw, key_len))
 
 
-@dataclass(frozen=True)
-class ReconcileParams:
-    """Knobs for the reconciliation phase.
-
-    ``block_policy`` maps (error rate, key length) to the block length;
-    ``n_clean`` is how many consecutive clean subset checks end the
-    procedure; ``max_passes`` is the number of permutation passes.
-    """
-
-    block_policy: object = default_block_policy
-    n_clean: int = 10
-    max_passes: int = 4
-
-    def __post_init__(self):
-        if self.n_clean < 1:
-            raise ValueError("n_clean must be at least 1")
-        if self.max_passes < 0:
-            raise ValueError("max_passes must be non-negative")
-
-
 @dataclass
 class DistillAccounting:
-    """Public-exchange bookkeeping across reconciliation and amplification."""
+    """Public-exchange bookkeeping of one reconciliation."""
 
     parity_bits_disclosed: int = 0
     bits_discarded: int = 0
     bisections: int = 0
     max_bisection_depth: int = 0
-    k: int | None = None
-    subsets: list = field(default_factory=list)
 
 
 def _parity(key, positions) -> int:
@@ -117,16 +98,18 @@ class _Reconciler:
             self.bisect(right[:-1], depth + 1)
 
 
-def reconcile(key_a, key_b, rate, params, rng, transcript):
+def reconcile(key_a, key_b, rate, rng, transcript):
     """Remove the errors between two equal-length keys via public parities.
+
+    Runs ``MAX_PASSES`` block passes, then random-subset checks until
+    ``N_CLEAN`` consecutive ones agree.
 
     Parameters
     ----------
     key_a, key_b : sequences of 0/1
         The two remnant raw keys.
     rate : float
-        The error-rate estimate driving the block-length policy.
-    params : ReconcileParams
+        The error-rate estimate driving :func:`default_block_policy`.
     rng : Rng
         Shared stream for permutations and subset draws.
     transcript : PublicTranscript
@@ -141,18 +124,18 @@ def reconcile(key_a, key_b, rate, params, rng, transcript):
     ------
     ReconciliationFailed
         If the subset phase exhausts its safety budget without reaching
-        ``n_clean`` consecutive clean checks.
+        ``N_CLEAN`` consecutive clean checks.
     """
     if len(key_a) != len(key_b):
         raise ValueError("keys must have equal length")
     acct = DistillAccounting()
     state = _Reconciler(list(key_a), list(key_b), rng, transcript, acct)
 
-    for _ in range(params.max_passes):
+    for _ in range(MAX_PASSES):
         positions = state.alive_positions()
         if not positions:
             break
-        length = params.block_policy(rate, len(positions))
+        length = default_block_policy(rate, len(positions))
         perm = rng.permutation(len(positions))
         transcript.post("alice", "perm", ",".join(map(str, perm)))
         order = [positions[j] for j in perm]
@@ -163,9 +146,9 @@ def reconcile(key_a, key_b, rate, params, rng, transcript):
                 acct.bisections += 1
 
     clean = 0
-    budget = 50 * params.n_clean + 2 * len(key_a) + 100
+    budget = 50 * N_CLEAN + 2 * len(key_a) + 100
     checks = 0
-    while clean < params.n_clean:
+    while clean < N_CLEAN:
         positions = state.alive_positions()
         if not positions:
             break
@@ -187,7 +170,7 @@ def reconcile(key_a, key_b, rate, params, rng, transcript):
     return rec_a, rec_b, acct
 
 
-def leaked_bits_bound(rate: float, n: int, acct: DistillAccounting | None = None) -> int:
+def leaked_bits_bound(rate: float, n: int) -> int:
     """Upper bound on the reconciled-key bits known to an eavesdropper.
 
     The default model charges 2*R*n bits: at the full-interception error
@@ -195,13 +178,10 @@ def leaked_bits_bound(rate: float, n: int, acct: DistillAccounting | None = None
     bits, and the discard rule zeroes out parity leakage.  The small
     epsilon keeps ceil() from inflating exact products like 0.01 * 2000.
     """
-    k = min(n, max(0, math.ceil(2.0 * rate * n - 1e-9)))
-    if acct is not None:
-        acct.k = k
-    return k
+    return min(n, max(0, math.ceil(2.0 * rate * n - 1e-9)))
 
 
-def privacy_amplify(key, k: int, s: int, rng, transcript, acct: DistillAccounting | None = None):
+def privacy_amplify(key, k: int, s: int, rng, transcript):
     """Compress ``key`` to ``len(key) - k - s`` random-subset parities.
 
     The subset index lists are posted to the transcript (contents never
@@ -228,8 +208,6 @@ def privacy_amplify(key, k: int, s: int, rng, transcript, acct: DistillAccountin
         transcript.post("alice", "pa-subset", ",".join(map(str, subset)))
         subsets.append(subset)
         final.append(_parity(key, subset))
-    if acct is not None:
-        acct.subsets = subsets
     return final, subsets
 
 

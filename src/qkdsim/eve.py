@@ -212,18 +212,16 @@ class EveTap:
         self.protocol = protocol
         self.rng = rng
         self.record = EveRecord(strategy, protocol, theta)
+        # (choice, basis) pairs for the opaque tap, indexed by its basis coin.
         if protocol == "bb84":
-            self._menu = {"+": vh_alphabet().basis, "x": oblique_alphabet().basis}
+            self._menu = (("+", vh_alphabet().basis), ("x", oblique_alphabet().basis))
         else:
             alpha = b92_alphabet(theta)
             plus, minus = alpha.encode(1), alpha.encode(0)
             # Outcome index doubles as Eve's bit guess in either basis:
             # seeing the plus state suggests 1, seeing its orthogonal proves 0,
             # and symmetrically for the minus-generated basis.
-            self._menu = {
-                "p": (plus.orthogonal(), plus),
-                "m": (minus, minus.orthogonal()),
-            }
+            self._menu = (("m", (minus, minus.orthogonal())), ("p", (plus.orthogonal(), plus)))
             self._code = (minus, plus)
         if isinstance(strategy, (TranslucentEve, EntanglingEve)):
             if protocol != "b92":
@@ -250,10 +248,7 @@ class EveTap:
     def _apply_opaque(self, pulse: Pulse, s: OpaqueEve) -> Pulse:
         if self.rng.uniform() >= s.fraction:
             return pulse
-        # Basis choice by fair coin; coin 1 picks the first menu entry.
-        keys = sorted(self._menu)
-        choice = keys[1] if self.rng.coin() else keys[0]
-        basis = self._menu[choice]
+        choice, basis = self._menu[self.rng.coin()]
         bit, collapsed = measure_projective(pulse.state, basis, self.rng)
         self.record.add(pulse.slot, OPAQUE, choice, bit)
         return Pulse(pulse.slot, pulse.photons, collapsed)
@@ -319,20 +314,19 @@ def _sifted_slots(transcript):
     return slots, alphabets.payload
 
 
-def eve_guess(record: EveRecord, transcript, rng: Rng | None = None):
+def eve_guess(record: EveRecord, transcript):
     """Eve's bit guess and confidence for every sifted slot she acted on.
 
     Deferred measurements (stored photons, probes) are performed here.
-    The default measurement randomness is seeded from the transcript
-    digest, so rerunning with the same record and transcript reproduces
-    the same guesses.
+    Their randomness is seeded from the transcript's sifting
+    announcements, so rerunning with the same record and transcript
+    reproduces the same guesses.
 
     Returns
     -------
     dict slot -> (bit, confidence)
     """
-    if rng is None:
-        rng = _transcript_rng(transcript)
+    rng = _transcript_rng(transcript)
     slots, alphabet_chars = _sifted_slots(transcript)
     guesses = {}
     if not record.entries:
@@ -343,6 +337,14 @@ def eve_guess(record: EveRecord, transcript, rng: Rng | None = None):
         alpha = b92_alphabet(record.theta)
         code_pair = (alpha.encode(0), alpha.encode(1))
         code_overlap_sq = abs(inner(code_pair[0], code_pair[1])) ** 2
+        # One Helstrom measurement serves every deferred slot: a stored
+        # photon is in a code state, a probe in one of the strategy's pair.
+        s = record.strategy
+        if isinstance(s, (TranslucentEve, EntanglingEve)):
+            held_pair = (s.probe_minus, s.probe_plus)
+        else:
+            held_pair = code_pair
+        helstrom_basis, helstrom_success = discrimination_measurement(*held_pair)
 
     for slot in slots:
         entry = record.entries.get(slot)
@@ -371,13 +373,7 @@ def eve_guess(record: EveRecord, transcript, rng: Rng | None = None):
             basis = menus[alphabet_chars[slot]].basis
             bit, _ = measure_projective(entry[1], basis, rng)
             guesses[slot] = (bit, 1.0)
-        elif kind == SPLIT:
-            basis, success = discrimination_measurement(*code_pair)
-            bit, _ = measure_projective(entry[1], basis, rng)
-            guesses[slot] = (bit, success)
-        elif kind == PROBE:
-            s = record.strategy
-            basis, success = discrimination_measurement(s.probe_minus, s.probe_plus)
-            bit, _ = measure_projective(entry[1], basis, rng)
-            guesses[slot] = (bit, success)
+        elif kind in (SPLIT, PROBE):
+            bit, _ = measure_projective(entry[1], helstrom_basis, rng)
+            guesses[slot] = (bit, helstrom_success)
     return guesses

@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 
 from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import NoiseModel, PublicTranscript, emit_pulse, transmit
-from .distill import (
-    ReconcileParams,
-    apply_subsets,
-    leaked_bits_bound,
-    privacy_amplify,
-    reconcile,
-)
+from .distill import apply_subsets, leaked_bits_bound, privacy_amplify, reconcile
 from .errors import EmptySiftedKey, KeyExhausted, ReconciliationFailed, RestartRequired
 from .eve import EntanglingEve, EveTap, NoEve, TranslucentEve, eve_guess
 from .otp import bits_to_string
@@ -57,7 +51,6 @@ class SessionConfig:
     eve: object = field(default_factory=NoEve)
     sample_fraction: float = 0.1
     r_max: float = 0.12
-    reconcile: ReconcileParams = field(default_factory=ReconcileParams)
     sec_param: int = 10
     seed: int = 0
 
@@ -91,7 +84,6 @@ class Stage1Record:
     bob_bits: list  # None where not received / inconclusive
     alice_alphabets: list | None = None  # BB84: coin values, 0="+" 1="x"
     bob_alphabets: list | None = None
-    outcomes: list | None = None  # B92: PovmOutcome per received slot
 
     @property
     def n_slots(self) -> int:
@@ -176,7 +168,6 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     povm = build_povm(cfg.theta)
     alice_bits = []
     received = []
-    outcomes = []
     bob_bits = []
     for slot in range(cfg.n_pulses):
         bit = rng.coin()
@@ -185,17 +176,15 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
         delivered = transmit(pulse, cfg.noise, tap, rng)
         if delivered is None:
             received.append(False)
-            outcomes.append(None)
             bob_bits.append(None)
             continue
         outcome = measure_povm(delivered.state, povm, rng)
         received.append(True)
-        outcomes.append(outcome)
         if outcome == PovmOutcome.INCONCLUSIVE:
             bob_bits.append(None)
         else:
             bob_bits.append(int(outcome))
-    return Stage1Record("b92", alice_bits, received, bob_bits, outcomes=outcomes)
+    return Stage1Record("b92", alice_bits, received, bob_bits)
 
 
 def sift_bb84(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
@@ -223,11 +212,7 @@ def sift_bb84(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
 
 def sift_b92(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
     """Keep slots with conclusive readouts, announced by Bob."""
-    kept = [
-        slot
-        for slot in range(record.n_slots)
-        if record.received[slot] and record.outcomes[slot] != PovmOutcome.INCONCLUSIVE
-    ]
+    kept = [slot for slot, bit in enumerate(record.bob_bits) if bit is not None]
     transcript.post("bob", "conclusive", ",".join(map(str, kept)))
     if not kept:
         raise EmptySiftedKey("no conclusive slot survived sifting")
@@ -330,14 +315,14 @@ def run_session(cfg: SessionConfig) -> RunReport:
         return finish("error_rate_exceeds_threshold")
 
     try:
-        rec_a, rec_b, acct = reconcile(tent_a, tent_b, rate, cfg.reconcile, rng, transcript)
+        rec_a, rec_b, _ = reconcile(tent_a, tent_b, rate, rng, transcript)
     except ReconciliationFailed:
         return finish("reconciliation_failed")
     report.reconciled_length = len(rec_a)
-    k = leaked_bits_bound(rate, len(rec_a), acct)
+    k = leaked_bits_bound(rate, len(rec_a))
     report.leaked_bits = k
     try:
-        final_a, subsets = privacy_amplify(rec_a, k, cfg.sec_param, rng, transcript, acct)
+        final_a, subsets = privacy_amplify(rec_a, k, cfg.sec_param, rng, transcript)
     except KeyExhausted:
         return finish("key_exhausted")
     final_b = apply_subsets(rec_b, subsets)

@@ -7,11 +7,13 @@ the document (they live on the in-memory report and in ``--summary``
 output) because they would break byte stability.
 
 Key order: schema_version, the run results, a ``config_*`` echo of every
-session parameter, then the SHA-256 digest of the serialized transcript.
+session parameter and of the fixed reconciliation settings, then the
+SHA-256 digest of the serialized transcript.
 """
 
 import json
 
+from .distill import MAX_PASSES, N_CLEAN, default_block_policy
 from .eve import EntanglingEve, NoEve, OpaqueEve, PhotonSplitEve, TranslucentEve
 from .protocol import RunReport, SessionConfig, session_transcript
 
@@ -35,7 +37,6 @@ def strategy_label(strategy) -> str:
 def build_document(report: RunReport, cfg: SessionConfig) -> dict:
     """Flat report document in the canonical key order."""
     transcript = session_transcript(report)
-    policy = cfg.reconcile.block_policy
     doc = {
         "schema_version": SCHEMA_VERSION,
         "protocol": report.protocol,
@@ -63,9 +64,9 @@ def build_document(report: RunReport, cfg: SessionConfig) -> dict:
         "config_eve_fraction": cfg.eve.fraction if isinstance(cfg.eve, OpaqueEve) else None,
         "config_sample_fraction": cfg.sample_fraction,
         "config_r_max": cfg.r_max,
-        "config_block_policy": getattr(policy, "__name__", "custom"),
-        "config_n_clean": cfg.reconcile.n_clean,
-        "config_max_passes": cfg.reconcile.max_passes,
+        "config_block_policy": default_block_policy.__name__,
+        "config_n_clean": N_CLEAN,
+        "config_max_passes": MAX_PASSES,
         "config_sec_param": cfg.sec_param,
         "config_seed": cfg.seed,
         "transcript_digest": transcript.digest() if transcript is not None else None,

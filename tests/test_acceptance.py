@@ -14,7 +14,6 @@ from qkdsim import (
     OpaqueEve,
     PhotonSplitEve,
     PublicTranscript,
-    ReconcileParams,
     Rng,
     SessionConfig,
     b92_alphabet,
@@ -176,9 +175,7 @@ def test_criterion_07_reconciliation_efficacy():
         rng = Rng(7000 + seed)
         key_a = [rng.coin() for _ in range(4096)]
         key_b = [b ^ 1 if rng.uniform() < 0.03 else b for b in key_a]
-        rec_a, rec_b, acct = reconcile(
-            key_a, key_b, 0.03, ReconcileParams(), Rng(7500 + seed), PublicTranscript()
-        )
+        rec_a, rec_b, acct = reconcile(key_a, key_b, 0.03, Rng(7500 + seed), PublicTranscript())
         if rec_a == rec_b:
             successes += 1
         worst_consumed = max(worst_consumed, acct.bits_discarded / 4096)

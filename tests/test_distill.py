@@ -6,7 +6,6 @@ import pytest
 
 from qkdsim import (
     PublicTranscript,
-    ReconcileParams,
     Rng,
     apply_subsets,
     default_block_policy,
@@ -51,7 +50,7 @@ class TestReconcile:
         rng = Rng(100)
         key = _random_bits(rng, 200)
         t = PublicTranscript()
-        rec_a, rec_b, acct = reconcile(key, list(key), 0.0, ReconcileParams(), Rng(101), t)
+        rec_a, rec_b, acct = reconcile(key, list(key), 0.0, Rng(101), t)
         assert rec_a == rec_b
         assert acct.bisections == 0
         assert len(rec_a) == len(key) - acct.bits_discarded
@@ -61,14 +60,16 @@ class TestReconcile:
         assert alice_parities == acct.parity_bits_disclosed
 
     def test_single_error_locating_fixture(self):
-        # 16 bits, one flip; rate 0.1 selects 8-bit blocks, so the
-        # bisective search needs at most ceil(log2 8) = 3 levels.
-        key_a = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0]
+        # 64 bits (a 16-bit pattern four times), one flip; rate 0.1 selects
+        # 8-bit blocks, so the bisective search needs at most
+        # ceil(log2 8) = 3 levels.  The full procedure would consume a
+        # 16-bit key outright.
+        key_a = [0, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 1, 0, 1, 0] * 4
         key_b = list(key_a)
         key_b[5] ^= 1
-        params = ReconcileParams(max_passes=1, n_clean=3)
-        rec_a, rec_b, acct = reconcile(key_a, key_b, 0.1, params, Rng(102), PublicTranscript())
+        rec_a, rec_b, acct = reconcile(key_a, key_b, 0.1, Rng(102), PublicTranscript())
         assert rec_a == rec_b
+        assert rec_a
         assert acct.max_bisection_depth <= 3
 
     def test_random_keys_with_three_percent_errors(self):
@@ -77,9 +78,7 @@ class TestReconcile:
             rng = Rng(200 + seed)
             key_a = _random_bits(rng, 4096)
             key_b = _flip_fraction(rng, key_a, 0.03)
-            rec_a, rec_b, acct = reconcile(
-                key_a, key_b, 0.03, ReconcileParams(), Rng(300 + seed), PublicTranscript()
-            )
+            rec_a, rec_b, acct = reconcile(key_a, key_b, 0.03, Rng(300 + seed), PublicTranscript())
             assert len(rec_a) == len(rec_b)
             assert acct.bits_discarded == acct.parity_bits_disclosed
             if rec_a != rec_b:
@@ -90,9 +89,7 @@ class TestReconcile:
         rng = Rng(103)
         key_a = _random_bits(rng, 500)
         key_b = _flip_fraction(rng, key_a, 0.1)
-        rec_a, rec_b, _ = reconcile(
-            key_a, key_b, 0.1, ReconcileParams(), Rng(104), PublicTranscript()
-        )
+        rec_a, rec_b, _ = reconcile(key_a, key_b, 0.1, Rng(104), PublicTranscript())
         assert len(rec_a) == len(rec_b)
 
 

@@ -203,9 +203,10 @@ def test_entangling_bob_statistics_match_quadratic_forms():
     record = run_stage1_b92(cfg, rng, tap)
     counts = {0: [0, 0, 0], 1: [0, 0, 0]}
     totals = {0: 0, 1: 0}
-    for bit, outcome, got in zip(record.alice_bits, record.outcomes, record.received):
+    for bit, bob_bit, got in zip(record.alice_bits, record.bob_bits, record.received):
         if got:
-            counts[bit][int(outcome)] += 1
+            # A received slot with no bit was inconclusive (POVM outcome 2).
+            counts[bit][2 if bob_bit is None else bob_bit] += 1
             totals[bit] += 1
     for bit in (0, 1):
         for idx in range(3):

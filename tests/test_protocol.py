@@ -7,7 +7,6 @@ import pytest
 from qkdsim import (
     NoiseModel,
     OpaqueEve,
-    PovmOutcome,
     PublicTranscript,
     Rng,
     SessionConfig,
@@ -158,9 +157,7 @@ class TestStage1B92:
 
         cfg = SessionConfig("b92", 100_000, seed=125)
         record = run_stage1_b92(cfg, Rng(cfg.seed), None)
-        conclusive = sum(
-            1 for o in record.outcomes if o is not None and o != PovmOutcome.INCONCLUSIVE
-        )
+        conclusive = sum(1 for b in record.bob_bits if b is not None)
         assert abs(conclusive / cfg.n_pulses - 0.29289) < 0.01
 
     def test_conclusive_outcomes_never_err(self):
@@ -185,13 +182,8 @@ class TestSiftB92:
         assert sift.raw_alice == sift.raw_bob
 
     def test_all_inconclusive_raises(self):
-        record = Stage1Record(
-            "b92",
-            [0, 1],
-            [True, True],
-            [None, None],
-            outcomes=[PovmOutcome.INCONCLUSIVE, PovmOutcome.INCONCLUSIVE],
-        )
+        # Both slots received, both inconclusive.
+        record = Stage1Record("b92", [0, 1], [True, True], [None, None])
         with pytest.raises(EmptySiftedKey):
             sift_b92(record, PublicTranscript())
 

@@ -114,6 +114,31 @@ class TestRunCommand:
         assert doc["n_pulses"] == 800  # flag wins
         assert doc["config_theta"] == 0.5
 
+    def test_config_file_sets_every_key(self, capsys, tmp_path):
+        # Every run flag's spelling is a config key, parsed with its default's type.
+        settings = {
+            "protocol": ("b92", "config_protocol", "b92"),
+            "n": ("300", "config_n_pulses", 300),
+            "seed": ("5", "config_seed", 5),
+            "flip": ("0.01", "config_flip_p", 0.01),
+            "loss": ("0.1", "config_loss_p", 0.1),
+            "multi": ("0.02", "config_multi_p", 0.02),
+            "theta": ("0.5", "config_theta", 0.5),
+            "eve": ("opaque", "config_eve", "opaque"),
+            "eve-frac": ("0.5", "config_eve_fraction", 0.5),
+            "sample-frac": ("0.2", "config_sample_fraction", 0.2),
+            "rmax": ("0.3", "config_r_max", 0.3),
+            "sec-param": ("4", "config_sec_param", 4),
+        }
+        cfg_file = tmp_path / "session.cfg"
+        cfg_file.write_text("".join(f"{key} = {text}\n" for key, (text, _, _) in settings.items()))
+        code, out, _ = run_cli(capsys, ["run", "--config", str(cfg_file)])
+        assert code == 0
+        doc = json.loads(out)
+        for _, field, want in settings.values():
+            assert doc[field] == want
+            assert type(doc[field]) is type(want)
+
     def test_dump_transcript(self, capsys, tmp_path):
         path = tmp_path / "transcript.log"
         code, out, _ = run_cli(
