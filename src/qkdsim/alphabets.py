@@ -2,9 +2,9 @@
 
 Three alphabets are used by the protocols: the vertical/horizontal pair,
 the oblique (+-45 degree) pair, and the single non-orthogonal B92 pair at
-angles +-theta.  An alphabet is a value object; the B92 angle travels
-inside it so the receiver's POVM is always derived from the same theta
-the sender used (a mismatch can only be injected deliberately).
+angles +-theta.  An alphabet is a value object.  The session engine
+builds the B92 alphabet and the receiver's POVM from the same session
+theta, so sender and receiver always agree on the angle.
 """
 
 import math
@@ -21,7 +21,6 @@ class QuantumAlphabet:
     name: str
     projective: bool
     code_states: tuple  # indexed by bit
-    theta: float | None = None
 
     def encode(self, bit: int) -> Ket2:
         return self.code_states[bit]
@@ -52,12 +51,7 @@ def b92_alphabet(theta: float) -> QuantumAlphabet:
     """Non-orthogonal pair at +-theta: 1 -> plus state, 0 -> minus state."""
     if not 0.0 < theta < math.pi / 4:
         raise ThetaOutOfRange(f"theta must lie in (0, pi/4), got {theta!r}")
-    return QuantumAlphabet(
-        "B92",
-        False,
-        (polarization(-theta), polarization(theta)),
-        theta=theta,
-    )
+    return QuantumAlphabet("B92", False, (polarization(-theta), polarization(theta)))
 
 
 def decode_by_basis(alphabet: QuantumAlphabet, state: Ket2, rng) -> int:

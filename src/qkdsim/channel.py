@@ -86,8 +86,11 @@ class PublicTranscript:
         return "".join(msg.line() for msg in self._messages)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the serialized transcript."""
-        return hashlib.sha256(self.serialize().encode("utf-8")).hexdigest()
+        """SHA-256 hex digest of the serialized transcript, hashed line by line."""
+        sha = hashlib.sha256()
+        for msg in self._messages:
+            sha.update(msg.line().encode("utf-8"))
+        return sha.hexdigest()
 
     def __len__(self):
         return len(self._messages)

@@ -38,6 +38,15 @@ _RUN_DEFAULTS = {
 # Config-file keys are the flag spellings; each default's type parses its value.
 _CONFIG_TYPES = {k.replace("_", "-"): type(v) for k, v in _RUN_DEFAULTS.items()}
 
+# The --eve choices, keyed by each strategy's label; each builder takes the run values.
+_EVES = {
+    "none": lambda values: NoEve(),
+    "opaque": lambda values: OpaqueEve(values["eve_frac"]),
+    "translucent": lambda values: translucent_swap_attack(values["theta"]),
+    "entangle": lambda values: entangling_swap_attack(values["theta"]),
+    "pns": lambda values: PhotonSplitEve(),
+}
+
 
 def _read_config_file(path: str) -> dict:
     """Parse ``key = value`` lines; '#' starts a comment."""
@@ -65,7 +74,7 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--loss", type=float, help="per-pulse loss probability")
     parser.add_argument("--multi", type=float, help="per-pulse two-photon probability")
     parser.add_argument("--theta", type=float, help="B92 code-state angle (radians)")
-    parser.add_argument("--eve", choices=["none", "opaque", "translucent", "entangle", "pns"])
+    parser.add_argument("--eve", choices=list(_EVES))
     parser.add_argument("--eve-frac", type=float, help="opaque interception fraction")
     parser.add_argument("--sample-frac", type=float, help="error-estimation disclosure fraction")
     parser.add_argument("--rmax", type=float, help="abort threshold on the estimated error rate")
@@ -119,24 +128,15 @@ def _session_values(args) -> dict:
 
 
 def _make_config(values: dict, seed=None) -> SessionConfig:
-    eve_kind = values["eve"]
-    theta = values["theta"]
-    if eve_kind == "none":
-        eve = NoEve()
-    elif eve_kind == "opaque":
-        eve = OpaqueEve(values["eve_frac"])
-    elif eve_kind == "translucent":
-        eve = translucent_swap_attack(theta)
-    elif eve_kind == "entangle":
-        eve = entangling_swap_attack(theta)
-    else:
-        eve = PhotonSplitEve()
+    build_eve = _EVES.get(values["eve"])
+    if build_eve is None:
+        raise ValueError(f"unknown eve {values['eve']!r}; choose from {', '.join(_EVES)}")
     return SessionConfig(
         protocol=values["protocol"],
         n_pulses=values["n"],
-        theta=theta,
+        theta=values["theta"],
         noise=NoiseModel(flip_p=values["flip"], loss_p=values["loss"], multi_p=values["multi"]),
-        eve=eve,
+        eve=build_eve(values),
         sample_fraction=values["sample_frac"],
         r_max=values["rmax"],
         sec_param=values["sec_param"],

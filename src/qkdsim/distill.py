@@ -51,11 +51,10 @@ def _parity(key, positions) -> int:
 
 
 class _Reconciler:
-    def __init__(self, key_a, key_b, rng, transcript, acct):
+    def __init__(self, key_a, key_b, transcript, acct):
         self.key_a = key_a
         self.key_b = key_b
         self.alive = [True] * len(key_a)
-        self.rng = rng
         self.transcript = transcript
         self.acct = acct
 
@@ -129,7 +128,7 @@ def reconcile(key_a, key_b, rate, rng, transcript):
     if len(key_a) != len(key_b):
         raise ValueError("keys must have equal length")
     acct = DistillAccounting()
-    state = _Reconciler(list(key_a), list(key_b), rng, transcript, acct)
+    state = _Reconciler(list(key_a), list(key_b), transcript, acct)
 
     for _ in range(MAX_PASSES):
         positions = state.alive_positions()

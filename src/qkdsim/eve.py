@@ -14,6 +14,9 @@ Four attack families are modeled:
 * **Photon-number splitting** -- divert one photon from any
   multi-photon pulse and store it, touching nothing else.
 
+Each strategy class declares its ``label``, the name that ``qkdsim run
+--eve`` accepts and the report echoes.
+
 Translucent parameters are user-supplied and validated for unitarity
 (:func:`validate_interaction`) rather than optimized: the attack family
 is the model, not any particular "best" attack.  Eve defers all probe
@@ -26,6 +29,7 @@ transcript.
 import hashlib
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -43,11 +47,14 @@ AMPLITUDE_TOL = 1e-10
 class NoEve:
     """No tap at all."""
 
+    label: ClassVar[str] = "none"
+
 
 @dataclass(frozen=True)
 class OpaqueEve:
     """Intercept-measure-resend on a fraction of pulses."""
 
+    label: ClassVar[str] = "opaque"
     fraction: float = 1.0
 
     def __post_init__(self):
@@ -63,6 +70,7 @@ class TranslucentEve:
     ``probe_plus``/``probe_minus`` the probe states left behind.
     """
 
+    label: ClassVar[str] = "translucent"
     theta: float
     out_plus: Ket2
     out_minus: Ket2
@@ -79,6 +87,7 @@ class EntanglingEve:
     ``(b |out+> + a |out->)`` with ``probe_minus``.
     """
 
+    label: ClassVar[str] = "entangle"
     theta: float
     a: complex
     b: complex
@@ -91,6 +100,8 @@ class EntanglingEve:
 @dataclass(frozen=True)
 class PhotonSplitEve:
     """Divert one photon of every multi-photon pulse for later measurement."""
+
+    label: ClassVar[str] = "pns"
 
 
 # Record entry kinds.
@@ -205,11 +216,13 @@ def entangling_swap_attack(theta: float) -> EntanglingEve:
 
 
 class EveTap:
-    """Channel tap: applies one strategy pulse by pulse and keeps the record."""
+    """Channel tap: applies one strategy pulse by pulse and keeps the record.
+
+    There is no tap for :class:`NoEve`; ``protocol.make_tap`` builds none.
+    """
 
     def __init__(self, strategy, protocol: str, rng: Rng, theta: float | None = None):
         self.strategy = strategy
-        self.protocol = protocol
         self.rng = rng
         self.record = EveRecord(strategy, protocol, theta)
         # (choice, basis) pairs for the opaque tap, indexed by its basis coin.
@@ -236,17 +249,14 @@ class EveTap:
             self._translucent = tuple(zip(forwarded, (strategy.probe_minus, strategy.probe_plus)))
 
     def apply(self, pulse: Pulse) -> Pulse:
-        s = self.strategy
-        if isinstance(s, NoEve):
-            return pulse
-        if isinstance(s, OpaqueEve):
-            return self._apply_opaque(pulse, s)
-        if isinstance(s, PhotonSplitEve):
+        if isinstance(self.strategy, OpaqueEve):
+            return self._apply_opaque(pulse)
+        if isinstance(self.strategy, PhotonSplitEve):
             return self._apply_split(pulse)
         return self._apply_translucent(pulse)
 
-    def _apply_opaque(self, pulse: Pulse, s: OpaqueEve) -> Pulse:
-        if self.rng.uniform() >= s.fraction:
+    def _apply_opaque(self, pulse: Pulse) -> Pulse:
+        if self.rng.uniform() >= self.strategy.fraction:
             return pulse
         choice, basis = self._menu[self.rng.coin()]
         bit, collapsed = measure_projective(pulse.state, basis, self.rng)
@@ -353,23 +363,20 @@ def eve_guess(record: EveRecord, transcript):
         kind = entry[0]
         if kind == OPAQUE and record.protocol == "bb84":
             choice, bit = entry[1], entry[2]
-            if alphabet_chars is not None and alphabet_chars[slot] == choice:
+            if alphabet_chars[slot] == choice:
                 guesses[slot] = (bit, 1.0)
             else:
                 # Wrong basis: the outcome carries no information.
                 guesses[slot] = (bit, 0.5)
         elif kind == OPAQUE:
             choice, bit = entry[1], entry[2]
-            # In the plus-generated basis, the orthogonal outcome (bit 0)
-            # excludes the plus state outright; symmetrically for minus.
-            if choice == "p":
-                conf = 1.0 / (1.0 + code_overlap_sq) if bit == 1 else 1.0
-            else:
-                conf = 1.0 / (1.0 + code_overlap_sq) if bit == 0 else 1.0
+            # The outcome along the basis's own code state (bit 1 in the
+            # plus-generated basis, bit 0 in the minus one) is ambiguous; its
+            # orthogonal excludes that code state outright.
+            ambiguous_bit = 1 if choice == "p" else 0
+            conf = 1.0 / (1.0 + code_overlap_sq) if bit == ambiguous_bit else 1.0
             guesses[slot] = (bit, conf)
         elif kind == SPLIT and record.protocol == "bb84":
-            if alphabet_chars is None:
-                continue
             basis = menus[alphabet_chars[slot]].basis
             bit, _ = measure_projective(entry[1], basis, rng)
             guesses[slot] = (bit, 1.0)

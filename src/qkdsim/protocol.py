@@ -221,7 +221,7 @@ def sift_b92(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
     return SiftResult(raw_alice, raw_bob, kept)
 
 
-def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max=None):
+def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max):
     """Disclose a random sample of the raw keys and estimate the error rate.
 
     The sample positions (ceil(fraction * len), drawn from the shared
@@ -235,9 +235,8 @@ def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max=None):
     Raises
     ------
     RestartRequired
-        When ``r_max`` is given and the measured rate exceeds it.  The
-        exception carries the rate; an abort notice goes on the
-        transcript.
+        When the measured rate exceeds ``r_max``.  The exception
+        carries the rate; an abort notice goes on the transcript.
     """
     if len(raw_alice) != len(raw_bob) or not raw_alice:
         raise ValueError("raw keys must be non-empty and equally long")
@@ -251,7 +250,7 @@ def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max=None):
     transcript.post("bob", "sample-bits", bits_to_string(bits_b))
     disagreements = sum(1 for a, b in zip(bits_a, bits_b) if a != b)
     rate = disagreements / m
-    if r_max is not None and rate > r_max:
+    if rate > r_max:
         transcript.post("alice", "abort", repr(rate))
         raise RestartRequired(rate)
     chosen = set(sample)

@@ -229,7 +229,6 @@ class PovmSet:
     a_plus: np.ndarray
     a_minus: np.ndarray
     a_inconclusive: np.ndarray
-    theta: float
 
     def elements(self):
         """Elements in outcome order: ZERO, ONE, INCONCLUSIVE."""
@@ -278,7 +277,7 @@ def build_povm(theta: float) -> PovmSet:
     a_plus = (eye - proj_minus) / (1.0 + overlap)
     a_minus = (eye - proj_plus) / (1.0 + overlap)
     a_inc = eye - a_plus - a_minus
-    povm = PovmSet(a_plus, a_minus, a_inc, theta)
+    povm = PovmSet(a_plus, a_minus, a_inc)
 
     completeness = float(np.max(np.abs(a_plus + a_minus + a_inc - eye)))
     if completeness > OPERATOR_TOL:

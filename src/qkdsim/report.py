@@ -14,24 +14,15 @@ SHA-256 digest of the serialized transcript.
 import json
 
 from .distill import MAX_PASSES, N_CLEAN, default_block_policy
-from .eve import EntanglingEve, NoEve, OpaqueEve, PhotonSplitEve, TranslucentEve
+from .eve import OpaqueEve
 from .protocol import RunReport, SessionConfig, session_transcript
 
 SCHEMA_VERSION = 1
 
 
 def strategy_label(strategy) -> str:
-    if isinstance(strategy, NoEve):
-        return "none"
-    if isinstance(strategy, OpaqueEve):
-        return "opaque"
-    if isinstance(strategy, TranslucentEve):
-        return "translucent"
-    if isinstance(strategy, EntanglingEve):
-        return "entangle"
-    if isinstance(strategy, PhotonSplitEve):
-        return "pns"
-    return type(strategy).__name__
+    """The eavesdropper's ``--eve`` name, as its strategy class declares it."""
+    return strategy.label
 
 
 def build_document(report: RunReport, cfg: SessionConfig) -> dict:

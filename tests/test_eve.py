@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from qkdsim import (
     EntanglingEve,
+    EveRecord,
     EveTap,
     Ket2,
     Ket4,
@@ -41,6 +42,7 @@ from qkdsim import (
 )
 from qkdsim.channel import PublicTranscript
 from qkdsim.errors import NotUnitary, StateNotInAlphabet
+from qkdsim.eve import OPAQUE
 from qkdsim.protocol import make_tap
 from util import best_projective_discrimination, binomial_sigma
 
@@ -287,8 +289,6 @@ def test_split_guesses_perfect_in_revealed_basis_despite_noise():
 
 
 def test_eve_guess_empty_without_entries():
-    from qkdsim import EveRecord
-
     record = EveRecord(OpaqueEve(1.0), "bb84", None)
     transcript = PublicTranscript()
     assert eve_guess(record, transcript) == {}
@@ -328,3 +328,20 @@ def test_b92_opaque_menu_outcomes():
         if choice == "m" and guess == 1 and bit == 0:
             sure_wrong += 1
     assert sure_wrong == 0
+
+
+def test_b92_opaque_guess_confidence():
+    # The outcome along its basis's own code state is ambiguous; its orthogonal is certain.
+    record = EveRecord(OpaqueEve(1.0), "b92", THETA)
+    entries = [("p", 1), ("p", 0), ("m", 0), ("m", 1)]
+    for slot, (choice, bit) in enumerate(entries):
+        record.add(slot, OPAQUE, choice, bit)
+    transcript = PublicTranscript()
+    transcript.post("bob", "conclusive", "0,1,2,3")
+    ambiguous = 1.0 / (1.0 + math.cos(2 * THETA) ** 2)
+    assert eve_guess(record, transcript) == {
+        0: (1, pytest.approx(ambiguous)),
+        1: (0, 1.0),
+        2: (0, pytest.approx(ambiguous)),
+        3: (1, 1.0),
+    }

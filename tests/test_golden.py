@@ -5,7 +5,8 @@ report and its newline) and the transcript digest inside it.  A
 refactor must leave every golden unchanged; a golden changes only
 together with a ``schema_version`` bump in :mod:`qkdsim.report`.  The
 abort reason is asserted first, so a config that drifts to another
-outcome fails on that before the hashes.
+outcome fails on that before the hashes; every entry also asserts that
+Alice's and Bob's final keys agree.
 """
 
 import hashlib
@@ -117,6 +118,34 @@ GOLDENS = [
         "e1a44b1b8139224bba664242ad93bfc614c0e4023b2ec585c67d9046b1b47cfc",
         "5548f1c567d2431f5a488ec92e3080dc0a3d9630c0e991638406980b05ff14b6",
     ),
+    Golden(
+        "bb84-full-flip",
+        "--protocol bb84 --n 2000 --seed 1 --flip 1.0 --rmax 1.0",
+        "key_exhausted",
+        "7f96d9bd247bd740313edb7a1eb52aa1b2f2efb768a996031964e0d832d321c1",
+        "7327fcd6b5e660d74ded1c621ffabdad9f86a17da038bf8dd875c2ec154a2d52",
+    ),
+    Golden(
+        "bb84-whole-sample",
+        "--protocol bb84 --n 2000 --seed 2 --sample-frac 0.999",
+        "key_exhausted",
+        "809562b0eb314da3b1985fca1a56bc95bb3ddfd3043f3896fa4d8de85c8b53c1",
+        "560e79d7143391c7c65e6538aa39d13564761f0cee741b672f9e33302d5a6997",
+    ),
+    Golden(
+        "b92-theta-tiny",
+        "--protocol b92 --n 3000 --seed 1 --theta 1e-9",
+        "empty_sifted_key",
+        "188a7ecd333c49205871b791da31cc8d076be2a23bd184b1cb95797e7778dfc9",
+        "0141afb324df5e9b42079400af0150dc809a40830ec1ac1df026721a29620901",
+    ),
+    Golden(
+        "b92-theta-near-quarter-pi",
+        "--protocol b92 --n 3000 --seed 2 --theta 0.785398",
+        None,
+        "25769d759b373ea9fe9ab16032acfe2b934d008400a6d219ee1c03bc45f64007",
+        "55e73fc953daea49089d2d51c0a5cf36c183fdb3ba482147b32d7e481aeec34a",
+    ),
 ]
 
 
@@ -126,5 +155,6 @@ def test_golden(capsys, golden):
     out = capsys.readouterr().out
     doc = json.loads(out)
     assert doc["abort_reason"] == golden.abort_reason
+    assert doc["final_key_alice"] == doc["final_key_bob"]
     assert doc["transcript_digest"] == golden.transcript_digest
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == golden.stdout_sha256

@@ -227,7 +227,7 @@ class TestSiftB92:
 class TestEstimateError:
     def test_identical_keys(self):
         raw = [0, 1, 1, 0, 1, 0, 1, 1]
-        rate, tent_a, tent_b = estimate_error(raw, list(raw), 0.25, Rng(130), PublicTranscript())
+        rate, tent_a, tent_b = estimate_error(raw, list(raw), 0.25, Rng(130), PublicTranscript(), r_max=1.0)
         assert rate == 0.0
         assert tent_a == tent_b
         assert len(tent_a) == len(raw) - 2  # ceil(0.25 * 8) disclosed and removed
@@ -235,7 +235,7 @@ class TestEstimateError:
     def test_recorded_tapped_keys_full_disclosure(self):
         sift = sift_bb84(_recorded_stage1(BOB_BITS_TAPPED), PublicTranscript())
         rate, tent_a, tent_b = estimate_error(
-            sift.raw_alice, sift.raw_bob, 1.0, Rng(131), PublicTranscript()
+            sift.raw_alice, sift.raw_bob, 1.0, Rng(131), PublicTranscript(), r_max=1.0
         )
         assert rate == pytest.approx(2 / 6)
         assert tent_a == [] and tent_b == []
@@ -247,7 +247,7 @@ class TestEstimateError:
 
     def test_disclosure_is_posted(self):
         t = PublicTranscript()
-        estimate_error([0, 1, 1, 0], [0, 1, 0, 0], 0.5, Rng(133), t)
+        estimate_error([0, 1, 1, 0], [0, 1, 0, 0], 0.5, Rng(133), t, r_max=1.0)
         assert t.find("bob", "sample") is not None
         assert t.find("alice", "sample-bits") is not None
         assert t.find("bob", "sample-bits") is not None

@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from qkdsim import SessionConfig, build_document, run_session
-from qkdsim.cli import main
+from qkdsim import SessionConfig, build_document, run_session, strategy_label
+from qkdsim.cli import _EVES, _RUN_DEFAULTS, main
 
 EXPECTED_FIELDS = [
     "schema_version",
@@ -63,6 +63,11 @@ class TestReportDocument:
         assert doc["final_key_length"] == doc["reconciled_length"] - doc["leaked_bits"] - 5
         assert doc["final_key_alice"] == doc["final_key_bob"]
 
+    @pytest.mark.parametrize("name", list(_EVES))
+    def test_eve_name_round_trips(self, name):
+        # The report names each eavesdropper as --eve does.
+        assert strategy_label(_EVES[name](dict(_RUN_DEFAULTS))) == name
+
 
 class TestRunCommand:
     def test_clean_run_reports_zero_error(self, capsys):
@@ -106,6 +111,7 @@ class TestRunCommand:
         cfg_file = tmp_path / "session.cfg"
         cfg_file.write_text(
             "# sample configuration\nprotocol = b92\nn = 500\nseed = 9\ntheta = 0.5\n"
+            "eve = entangle\n"
         )
         code, out, _ = run_cli(capsys, ["run", "--config", str(cfg_file), "--n", "800"])
         assert code == 0
@@ -113,6 +119,16 @@ class TestRunCommand:
         assert doc["protocol"] == "b92"
         assert doc["n_pulses"] == 800  # flag wins
         assert doc["config_theta"] == 0.5
+        assert doc["config_eve"] == "entangle"
+
+    def test_config_file_unknown_eve_is_usage_error(self, capsys, tmp_path):
+        # Config values bypass argparse's choices; the eve table must refuse the name.
+        cfg_file = tmp_path / "session.cfg"
+        cfg_file.write_text("eve = opaqe\nn = 300\n")
+        code, out, err = run_cli(capsys, ["run", "--config", str(cfg_file)])
+        assert code == 2
+        assert out == ""
+        assert "unknown eve 'opaqe'; choose from none, opaque, translucent, entangle, pns" in err
 
     def test_config_file_sets_every_key(self, capsys, tmp_path):
         # Every run flag's spelling is a config key, parsed with its default's type.
