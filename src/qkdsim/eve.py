@@ -9,13 +9,15 @@ Four attack families are modeled:
   state while the probe picks up a code-dependent state.
 * **Translucent (entangling)** -- the general unitary coupling whose
   output mixes both forwarded carrier states with amplitudes ``a, b``.
-  Its output is still a product of carrier and probe, so the tap
-  forwards a qubit and keeps the probe, as the unitary form does.
+  Its output is still a product of carrier and probe.
 * **Photon-number splitting** -- divert one photon from any
   multi-photon pulse and store it, touching nothing else.
 
 Each strategy class declares its ``label``, the name that ``qkdsim run
---eve`` accepts and the report echoes.
+--eve`` accepts and the report echoes.  Both translucent forms declare
+one ``coupling`` table of (forwarded carrier, probe) qubits, indexed by
+the code bit, which the tap, the unitarity check and Eve's probe
+measurement all read.
 
 Translucent parameters are user-supplied and validated for unitarity
 (:func:`validate_interaction`) rather than optimized: the attack family
@@ -77,6 +79,11 @@ class TranslucentEve:
     probe_plus: Ket2
     probe_minus: Ket2
 
+    @property
+    def coupling(self):
+        """(forwarded carrier, probe) pairs, indexed by the code bit."""
+        return (self.out_minus, self.probe_minus), (self.out_plus, self.probe_plus)
+
 
 @dataclass(frozen=True, eq=False)
 class EntanglingEve:
@@ -96,6 +103,17 @@ class EntanglingEve:
     probe_plus: Ket2
     probe_minus: Ket2
 
+    def carriers(self):
+        """Forwarded carrier vectors before normalisation, indexed by the code bit."""
+        plus, minus = self.out_plus.vec, self.out_minus.vec
+        return self.b * plus + self.a * minus, self.a * plus + self.b * minus
+
+    @property
+    def coupling(self):
+        """(forwarded carrier, probe) pairs, indexed by the code bit."""
+        carrier_minus, carrier_plus = self.carriers()
+        return (Ket2(*carrier_minus), self.probe_minus), (Ket2(*carrier_plus), self.probe_plus)
+
 
 @dataclass(frozen=True)
 class PhotonSplitEve:
@@ -104,14 +122,20 @@ class PhotonSplitEve:
     label: ClassVar[str] = "pns"
 
 
-# Record entry kinds.
-OPAQUE = "opaque"
-SPLIT = "split"
-PROBE = "probe"
+_TRANSLUCENT = (TranslucentEve, EntanglingEve)
+
+
+def is_translucent(strategy, protocol: str) -> bool:
+    """Whether ``strategy`` is a probe coupling; ValueError if ``protocol`` is not B92."""
+    if not isinstance(strategy, _TRANSLUCENT):
+        return False
+    if protocol != "b92":
+        raise ValueError("translucent strategies apply to the b92 protocol only")
+    return True
 
 
 class EveRecord:
-    """Per-slot log of what Eve did and, where applicable, what she holds.
+    """Per-slot log of what Eve holds: an opaque ``(choice, bit)`` outcome or a kept qubit.
 
     Carries enough context (protocol, theta, strategy) for
     :func:`eve_guess` to work from the record and the public transcript
@@ -124,19 +148,13 @@ class EveRecord:
         self.theta = theta
         self.entries = {}
 
-    def add(self, slot: int, kind: str, *data) -> None:
+    def add(self, slot: int, entry) -> None:
         if slot in self.entries:
             raise ValueError(f"slot {slot} already recorded")
-        self.entries[slot] = (kind, *data)
+        self.entries[slot] = entry
 
     def __len__(self):
         return len(self.entries)
-
-
-def _entangled_carriers(strategy: EntanglingEve):
-    """Unnormalised forwarded carriers ``a|out+> + b|out->`` and ``b|out+> + a|out->``."""
-    plus, minus = strategy.out_plus.vec, strategy.out_minus.vec
-    return strategy.a * plus + strategy.b * minus, strategy.b * plus + strategy.a * minus
 
 
 def validate_interaction(strategy) -> None:
@@ -150,22 +168,18 @@ def validate_interaction(strategy) -> None:
     NotUnitary
         With the violated quantity in the message.
     """
-    overlap_in = math.cos(2.0 * strategy.theta)
-    if isinstance(strategy, TranslucentEve):
-        carrier_overlap = inner(strategy.out_plus, strategy.out_minus)
-    elif isinstance(strategy, EntanglingEve):
+    if not isinstance(strategy, _TRANSLUCENT):
+        raise TypeError(f"not a translucent strategy: {type(strategy).__name__}")
+    if isinstance(strategy, EntanglingEve):
         amp_norm = abs(strategy.a) ** 2 + abs(strategy.b) ** 2
         if abs(amp_norm - 1.0) > AMPLITUDE_TOL:
             raise NotUnitary(f"|a|^2 + |b|^2 = {amp_norm:.12f}, expected 1")
-        fp, fm = _entangled_carriers(strategy)
-        norm_p = float(np.linalg.norm(fp))
-        norm_m = float(np.linalg.norm(fm))
+        norm_m, norm_p = (float(np.linalg.norm(vec)) for vec in strategy.carriers())
         if abs(norm_p - 1.0) > AMPLITUDE_TOL or abs(norm_m - 1.0) > AMPLITUDE_TOL:
             raise NotUnitary(f"output norms ({norm_p:.12f}, {norm_m:.12f}) are not 1")
-        carrier_overlap = complex(fp.conj() @ fm)
-    else:
-        raise TypeError(f"not a translucent strategy: {type(strategy).__name__}")
-    overlap_out = carrier_overlap * inner(strategy.probe_plus, strategy.probe_minus)
+    (out_minus, probe_minus), (out_plus, probe_plus) = strategy.coupling
+    overlap_out = inner(out_plus, out_minus) * inner(probe_plus, probe_minus)
+    overlap_in = math.cos(2.0 * strategy.theta)
     if abs(overlap_out - overlap_in) > INTERACTION_TOL:
         raise NotUnitary(
             f"output overlap {overlap_out:.8f} differs from input overlap {overlap_in:.8f}"
@@ -225,62 +239,54 @@ class EveTap:
         self.strategy = strategy
         self.rng = rng
         self.record = EveRecord(strategy, protocol, theta)
-        # (choice, basis) pairs for the opaque tap, indexed by its basis coin.
-        if protocol == "bb84":
-            self._menu = (("+", vh_alphabet().basis), ("x", oblique_alphabet().basis))
-        else:
-            alpha = b92_alphabet(theta)
-            plus, minus = alpha.encode(1), alpha.encode(0)
-            # Outcome index doubles as Eve's bit guess in either basis:
-            # seeing the plus state suggests 1, seeing its orthogonal proves 0,
-            # and symmetrically for the minus-generated basis.
-            self._menu = (("m", (minus, minus.orthogonal())), ("p", (plus.orthogonal(), plus)))
-            self._code = (minus, plus)
-        if isinstance(strategy, (TranslucentEve, EntanglingEve)):
-            if protocol != "b92":
-                raise ValueError("translucent taps are defined only on the B92 code states")
-            validate_interaction(strategy)
-            if isinstance(strategy, TranslucentEve):
-                forwarded = (strategy.out_minus, strategy.out_plus)
+        # A plain function, not a bound method: that would be a reference cycle,
+        # keeping a finished session's tap and record until the cyclic collector runs.
+        if isinstance(strategy, OpaqueEve):
+            self._act = EveTap._apply_opaque
+            # (choice, basis) pairs, indexed by the basis coin.
+            if protocol == "bb84":
+                self._menu = (("+", vh_alphabet().basis), ("x", oblique_alphabet().basis))
             else:
-                fp, fm = _entangled_carriers(strategy)
-                forwarded = (Ket2(*fm), Ket2(*fp))
-            # (forwarded carrier, probe left behind), indexed by the code bit.
-            self._translucent = tuple(zip(forwarded, (strategy.probe_minus, strategy.probe_plus)))
+                alpha = b92_alphabet(theta)
+                plus, minus = alpha.encode(1), alpha.encode(0)
+                # Outcome index doubles as Eve's bit guess in either basis:
+                # seeing the plus state suggests 1, seeing its orthogonal proves 0,
+                # and symmetrically for the minus-generated basis.
+                self._menu = (("m", (minus, minus.orthogonal())), ("p", (plus.orthogonal(), plus)))
+        elif isinstance(strategy, PhotonSplitEve):
+            self._act = EveTap._apply_split
+        elif is_translucent(strategy, protocol):
+            validate_interaction(strategy)
+            self._act = EveTap._apply_translucent
+            alpha = b92_alphabet(theta)
+            # Rows (code state, forwarded, probe), plus first: it wins if theta is below tolerance.
+            self._table = tuple((alpha.encode(bit), *strategy.coupling[bit]) for bit in (1, 0))
+        else:
+            raise TypeError(f"no tap for {type(strategy).__name__}")
 
     def apply(self, pulse: Pulse) -> Pulse:
-        if isinstance(self.strategy, OpaqueEve):
-            return self._apply_opaque(pulse)
-        if isinstance(self.strategy, PhotonSplitEve):
-            return self._apply_split(pulse)
-        return self._apply_translucent(pulse)
+        return self._act(self, pulse)
 
     def _apply_opaque(self, pulse: Pulse) -> Pulse:
         if self.rng.uniform() >= self.strategy.fraction:
             return pulse
         choice, basis = self._menu[self.rng.coin()]
         bit, collapsed = measure_projective(pulse.state, basis, self.rng)
-        self.record.add(pulse.slot, OPAQUE, choice, bit)
+        self.record.add(pulse.slot, (choice, bit))
         return Pulse(pulse.slot, pulse.photons, collapsed)
 
     def _apply_split(self, pulse: Pulse) -> Pulse:
         if pulse.photons < 2:
             return pulse
-        self.record.add(pulse.slot, SPLIT, pulse.state)
+        self.record.add(pulse.slot, pulse.state)
         return Pulse(pulse.slot, pulse.photons - 1, pulse.state)
 
     def _apply_translucent(self, pulse: Pulse) -> Pulse:
-        state = pulse.state
-        minus, plus = self._code
-        if states_equal(state, plus):
-            branch = 1
-        elif states_equal(state, minus):
-            branch = 0
-        else:
-            raise StateNotInAlphabet(f"incoming state {state!r} is not a +-theta code state")
-        forwarded, probe = self._translucent[branch]
-        self.record.add(pulse.slot, PROBE, probe)
-        return Pulse(pulse.slot, pulse.photons, forwarded)
+        for code_state, forwarded, probe in self._table:
+            if states_equal(pulse.state, code_state):
+                self.record.add(pulse.slot, probe)
+                return Pulse(pulse.slot, pulse.photons, forwarded)
+        raise StateNotInAlphabet(f"incoming state {pulse.state!r} is not a +-theta code state")
 
 
 def discrimination_measurement(s0: Ket2, s1: Ket2):
@@ -336,51 +342,42 @@ def eve_guess(record: EveRecord, transcript):
     -------
     dict slot -> (bit, confidence)
     """
+    entries = record.entries
+    if not entries:
+        return {}
     rng = _transcript_rng(transcript)
     slots, alphabet_chars = _sifted_slots(transcript)
-    guesses = {}
-    if not record.entries:
-        return guesses
+    strategy, bb84 = record.strategy, record.protocol == "bb84"
 
-    menus = {"+": vh_alphabet(), "x": oblique_alphabet()}
-    if record.protocol == "b92":
-        alpha = b92_alphabet(record.theta)
-        code_pair = (alpha.encode(0), alpha.encode(1))
-        code_overlap_sq = abs(inner(code_pair[0], code_pair[1])) ** 2
+    if isinstance(strategy, OpaqueEve) and bb84:
+        # Wrong basis: the outcome carries no information.
+        def guess(slot, entry):
+            return entry[1], 1.0 if alphabet_chars[slot] == entry[0] else 0.5
+    elif isinstance(strategy, OpaqueEve):
+        # The outcome along the basis's own code state (bit 1 in the
+        # plus-generated basis, bit 0 in the minus one) is ambiguous; its
+        # orthogonal excludes that code state outright.  The code states overlap by cos 2 theta.
+        ambiguous = 1.0 / (1.0 + math.cos(2.0 * record.theta) ** 2)
+
+        def guess(slot, entry):
+            return entry[1], ambiguous if entry in (("p", 1), ("m", 0)) else 1.0
+    elif bb84:
+        # A stored photon, read in the basis Bob revealed.
+        bases = {"+": vh_alphabet().basis, "x": oblique_alphabet().basis}
+
+        def guess(slot, state):
+            return measure_projective(state, bases[alphabet_chars[slot]], rng)[0], 1.0
+    else:
         # One Helstrom measurement serves every deferred slot: a stored
-        # photon is in a code state, a probe in one of the strategy's pair.
-        s = record.strategy
-        if isinstance(s, (TranslucentEve, EntanglingEve)):
-            held_pair = (s.probe_minus, s.probe_plus)
+        # photon is in a code state, a probe in one of the coupling's pair.
+        if isinstance(strategy, PhotonSplitEve):
+            alpha = b92_alphabet(record.theta)
+            held = (alpha.encode(0), alpha.encode(1))
         else:
-            held_pair = code_pair
-        helstrom_basis, helstrom_success = discrimination_measurement(*held_pair)
+            held = tuple(probe for _, probe in strategy.coupling)
+        basis, success = discrimination_measurement(*held)
 
-    for slot in slots:
-        entry = record.entries.get(slot)
-        if entry is None:
-            continue
-        kind = entry[0]
-        if kind == OPAQUE and record.protocol == "bb84":
-            choice, bit = entry[1], entry[2]
-            if alphabet_chars[slot] == choice:
-                guesses[slot] = (bit, 1.0)
-            else:
-                # Wrong basis: the outcome carries no information.
-                guesses[slot] = (bit, 0.5)
-        elif kind == OPAQUE:
-            choice, bit = entry[1], entry[2]
-            # The outcome along the basis's own code state (bit 1 in the
-            # plus-generated basis, bit 0 in the minus one) is ambiguous; its
-            # orthogonal excludes that code state outright.
-            ambiguous_bit = 1 if choice == "p" else 0
-            conf = 1.0 / (1.0 + code_overlap_sq) if bit == ambiguous_bit else 1.0
-            guesses[slot] = (bit, conf)
-        elif kind == SPLIT and record.protocol == "bb84":
-            basis = menus[alphabet_chars[slot]].basis
-            bit, _ = measure_projective(entry[1], basis, rng)
-            guesses[slot] = (bit, 1.0)
-        elif kind in (SPLIT, PROBE):
-            bit, _ = measure_projective(entry[1], helstrom_basis, rng)
-            guesses[slot] = (bit, helstrom_success)
-    return guesses
+        def guess(slot, state):
+            return measure_projective(state, basis, rng)[0], success
+
+    return {slot: guess(slot, entries[slot]) for slot in slots if slot in entries}

@@ -30,7 +30,7 @@ from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import NoiseModel, PublicTranscript, emit_pulse, transmit
 from .distill import apply_subsets, leaked_bits_bound, privacy_amplify, reconcile
 from .errors import EmptySiftedKey, KeyExhausted, ReconciliationFailed, RestartRequired
-from .eve import EntanglingEve, EveTap, NoEve, TranslucentEve, eve_guess
+from .eve import EveTap, NoEve, eve_guess, is_translucent
 from .otp import bits_to_string
 from .quantum import PovmOutcome, build_povm, measure_povm, measure_projective
 # Unused here, but perfbench/tracing.py wraps protocol.measure_povm_carrier by name.
@@ -59,15 +59,15 @@ class SessionConfig:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be at least 1")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta!r}")
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must lie in (0, 1)")
         if not 0.0 <= self.r_max <= 1.0:
             raise ValueError("r_max must lie in [0, 1]")
         if self.sec_param < 0:
             raise ValueError("sec_param must be non-negative")
-        if isinstance(self.eve, (TranslucentEve, EntanglingEve)):
-            if self.protocol != "b92":
-                raise ValueError("translucent strategies apply to the b92 protocol only")
+        if is_translucent(self.eve, self.protocol):
             if abs(self.eve.theta - self.theta) > 1e-12:
                 raise ValueError("strategy theta differs from the session theta")
             if self.noise.multi_p > 0.0:
@@ -274,8 +274,8 @@ def run_session(cfg: SessionConfig) -> RunReport:
     """Execute a full session: stage 1, sifting, estimation, distillation.
 
     Aborts (threshold exceeded, empty sift, failed reconciliation,
-    exhausted key) produce a report with ``aborted=True`` and a reason;
-    they are protocol outcomes, not errors.
+    exhausted key, final keys that differ) produce a report with
+    ``aborted=True`` and a reason; they are protocol outcomes, not errors.
     """
     started = time.perf_counter()
     rng = Rng(cfg.seed)
@@ -325,6 +325,8 @@ def run_session(cfg: SessionConfig) -> RunReport:
     except KeyExhausted:
         return finish("key_exhausted")
     final_b = apply_subsets(rec_b, subsets)
+    if final_a != final_b:
+        return finish("key_mismatch")
 
     report.final_key_length = len(final_a)
     report.final_key_alice = bits_to_string(final_a)

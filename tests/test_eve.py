@@ -1,6 +1,8 @@
 """Eavesdropping strategies: taps, unitarity validation, and Eve's guesses."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from qkdsim import (
     EveTap,
     Ket2,
     Ket4,
+    NoEve,
     NoiseModel,
     OpaqueEve,
     PhotonSplitEve,
@@ -42,7 +45,6 @@ from qkdsim import (
 )
 from qkdsim.channel import PublicTranscript
 from qkdsim.errors import NotUnitary, StateNotInAlphabet
-from qkdsim.eve import OPAQUE
 from qkdsim.protocol import make_tap
 from util import best_projective_discrimination, binomial_sigma
 
@@ -80,7 +82,7 @@ def test_opaque_eve_agreement_with_alice():
     # Conditioning on Eve's basis choice: 1/2 * 1 + 1/2 * 1/2 = 3/4.
     tap, transcript, sift = _bb84_opaque_run(1.0, 45_000, seed=82)
     alice = dict(zip(sift.slots, sift.raw_alice))
-    recorded = [(slot, entry[2]) for slot, entry in tap.record.entries.items() if slot in alice]
+    recorded = [(slot, bit) for slot, (_, bit) in tap.record.entries.items() if slot in alice]
     agree = sum(1 for slot, bit in recorded if alice[slot] == bit) / len(recorded)
     assert abs(agree - 0.75) < 0.02
     guesses = eve_guess(tap.record, transcript)
@@ -118,6 +120,47 @@ def test_validate_rejects_bad_amplitudes():
     bad = EntanglingEve(THETA, 1.0, 1.0, ok.out_plus, ok.out_minus, ok.probe_plus, ok.probe_minus)
     with pytest.raises(NotUnitary):
         validate_interaction(bad)
+
+
+def test_validate_rejects_carriers_of_wrong_norm():
+    # |a|^2 + |b|^2 = 1, but equal out states add up to carriers of norm sqrt(2).
+    ok = entangling_swap_attack(THETA)
+    amp = math.sqrt(0.5)
+    bad = EntanglingEve(THETA, amp, amp, ok.out_plus, ok.out_plus, ok.probe_plus, ok.probe_minus)
+    with pytest.raises(NotUnitary, match="output norms"):
+        validate_interaction(bad)
+
+
+def test_translucent_strategies_refuse_bb84():
+    # The session config and the tap share one rule: a coupling needs the B92 code states.
+    for strategy in (translucent_swap_attack(THETA), entangling_swap_attack(THETA)):
+        with pytest.raises(ValueError, match="b92 protocol only"):
+            SessionConfig("bb84", 100, theta=THETA, eve=strategy)
+        with pytest.raises(ValueError, match="b92 protocol only"):
+            EveTap(strategy, "bb84", Rng(0), theta=THETA)
+
+
+@pytest.mark.parametrize(
+    "strategy,protocol",
+    [(OpaqueEve(1.0), "bb84"), (PhotonSplitEve(), "bb84"), (translucent_swap_attack(THETA), "b92")],
+)
+def test_tap_is_freed_without_the_cycle_collector(strategy, protocol):
+    # A tap that referenced itself would keep its record after the session
+    # until a full collection, and a run of sessions would pile records up.
+    tap = EveTap(strategy, protocol, Rng(0), theta=THETA)
+    tap.apply(Pulse(0, 2, b92_alphabet(THETA).encode(1)))
+    ref = weakref.ref(tap)
+    gc.disable()
+    try:
+        del tap
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_no_tap_for_absent_eve():
+    with pytest.raises(TypeError):
+        EveTap(NoEve(), "bb84", Rng(0))
 
 
 def test_fitted_entangling_parameters_validate():
@@ -234,9 +277,7 @@ def test_entangling_tap_matches_joint_state_oracle(seed, bit, theta):
     joint = Ket4(*_entangled_joint(strategy, bit))
     want, residual = measure_povm_carrier(joint, povm, Rng(seed))
     assert measure_povm(out.state, povm, Rng(seed)) == want
-    kind, probe = tap.record.entries[0]
-    assert kind == "probe"
-    assert states_equal(probe, residual, tol=1e-12)
+    assert states_equal(tap.record.entries[0], residual, tol=1e-12)
 
 
 def test_split_leaves_single_photon_pulses_alone():
@@ -251,8 +292,7 @@ def test_split_diverts_one_photon():
     out = tap.apply(Pulse(5, 2, VERTICAL))
     assert out.photons == 1
     assert states_equal(out.state, VERTICAL)
-    kind, stored = tap.record.entries[5]
-    assert kind == "split" and states_equal(stored, VERTICAL)
+    assert states_equal(tap.record.entries[5], VERTICAL)
 
 
 def test_split_record_fraction():
@@ -321,7 +361,7 @@ def test_b92_opaque_menu_outcomes():
     for slot in range(n):
         bit = slot % 2
         tap.apply(Pulse(slot, 1, alpha.encode(bit)))
-        kind, choice, guess = tap.record.entries[slot]
+        choice, guess = tap.record.entries[slot]
         # A "definitely not plus" outcome can never follow a plus transmission.
         if choice == "p" and guess == 0 and bit == 1:
             sure_wrong += 1
@@ -335,7 +375,7 @@ def test_b92_opaque_guess_confidence():
     record = EveRecord(OpaqueEve(1.0), "b92", THETA)
     entries = [("p", 1), ("p", 0), ("m", 0), ("m", 1)]
     for slot, (choice, bit) in enumerate(entries):
-        record.add(slot, OPAQUE, choice, bit)
+        record.add(slot, (choice, bit))
     transcript = PublicTranscript()
     transcript.post("bob", "conclusive", "0,1,2,3")
     ambiguous = 1.0 / (1.0 + math.cos(2 * THETA) ** 2)

@@ -302,6 +302,18 @@ class TestRunSession:
         assert report.reconciled_length is None
         assert report.final_key_length == 0
 
+    @pytest.mark.parametrize("seed", [178, 242])
+    def test_differing_final_keys_are_an_abort(self, seed):
+        # The error sample underestimates a 6% flip rate, reconciliation
+        # leaves errors behind, and amplification spreads them over both keys.
+        cfg = SessionConfig("bb84", 1500, noise=NoiseModel(flip_p=0.06), r_max=0.2, seed=seed)
+        report = run_session(cfg)
+        assert report.aborted
+        assert report.abort_reason == "key_mismatch"
+        assert report.reconciled_length is not None
+        assert report.final_key_length == 0
+        assert report.final_key_alice == report.final_key_bob == ""
+
     def test_eve_accuracy_reproducible_from_transcript(self):
         cfg = SessionConfig("b92", 15_000, eve=translucent_swap_attack(math.pi / 8), seed=137, r_max=1.0)
         report = run_session(cfg)

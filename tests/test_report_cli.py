@@ -194,6 +194,16 @@ class TestRunCommand:
             main(["run", "--eve", "mallory"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta_is_usage_error(self, capsys, theta):
+        # Refused when the config is built, before any session runs.
+        with pytest.raises(ValueError, match="theta"):
+            SessionConfig("bb84", 100, theta=float(theta))
+        code, out, err = run_cli(capsys, ["run", "--n", "100", "--theta", theta])
+        assert code == 2
+        assert out == ""
+        assert "theta must be finite" in err
+
     def test_translucent_on_bb84_is_usage_error(self, capsys):
         code, out, err = run_cli(
             capsys, ["run", "--protocol", "bb84", "--eve", "translucent", "--n", "100"]
