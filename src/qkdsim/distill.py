@@ -16,15 +16,23 @@ Privacy amplification then maps the reconciled key of length ``n`` to
 ``n - k - s`` bits, where ``k`` bounds what an eavesdropper may know and
 ``s`` is the security parameter: that many random nonempty subsets are
 posted (indices only) and the new key is their undisclosed parities.
+The subsets are drawn as rows of a boolean matrix, a chunk of rows at a
+time from :meth:`Rng.uniforms`; an empty row is dropped and the next
+row takes its place, which is the draw-and-reject rule of
+:meth:`Rng.nonempty_subset` draw for draw.  Each subset is kept as an
+``int32`` index array.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import KeyExhausted, ReconciliationFailed
 
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
+PA_CHUNK_DRAWS = 1 << 20  # about this many uniforms per chunk of amplification rows
 
 
 def default_block_policy(rate: float, key_len: int) -> int:
@@ -185,11 +193,13 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
 
     The subset index lists are posted to the transcript (contents never
     are); each output bit is the parity of the key over one subset.
+    Rows are drawn in chunks of at most the rows still wanted, so the
+    stream stops right after the last accepted subset.
 
     Returns
     -------
     (final, subsets)
-        The final key bits and the index subsets that produced them.
+        The final key bits and the ``int32`` index arrays that produced them.
 
     Raises
     ------
@@ -200,16 +210,28 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     m = n - k - s
     if m < 1:
         raise KeyExhausted(f"n - k - s = {n} - {k} - {s} leaves no key")
+    bits = np.asarray(key, dtype=bool)
+    positions = np.arange(n, dtype=np.int32)
+    labels = [str(i) for i in range(n)]
+    rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
     subsets = []
     final = []
-    for _ in range(m):
-        subset = rng.nonempty_subset(n)
-        transcript.post("alice", "pa-subset", ",".join(map(str, subset)))
-        subsets.append(subset)
-        final.append(_parity(key, subset))
+    while len(subsets) < m:
+        wanted = min(m - len(subsets), rows_per_chunk)
+        rows = rng.uniforms(wanted * n).reshape(wanted, n) < 0.5
+        rows = rows[rows.any(axis=1)]  # an empty row is rejected; the next row is its redraw
+        final.extend((np.count_nonzero(rows & bits, axis=1) & 1).tolist())
+        for row in rows:
+            subset = positions[row]
+            transcript.post("alice", "pa-subset", ",".join(map(labels.__getitem__, subset.tolist())))
+            subsets.append(subset)
     return final, subsets
 
 
 def apply_subsets(key, subsets):
-    """Recompute subset parities of ``key`` (the receiving side of amplification)."""
-    return [_parity(key, subset) for subset in subsets]
+    """Recompute subset parities of ``key`` (the receiving side of amplification).
+
+    ``subsets`` holds index arrays or plain lists of indices.
+    """
+    bits = np.asarray(key, dtype=bool)
+    return [np.count_nonzero(bits[np.asarray(subset, dtype=np.intp)]) & 1 for subset in subsets]

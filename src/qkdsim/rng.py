@@ -7,9 +7,18 @@ is consumed -- the one primitive whose sequence CPython guarantees to be
 reproducible for a given seed across versions and platforms.  Every
 helper below (coins, bounded integers, permutations, subsets) is built
 on that single primitive, so transcripts replay bit-for-bit anywhere.
+
+:meth:`Rng.uniforms` draws in bulk through numpy: it hands the same
+MT19937 state to ``numpy.random.RandomState``, whose ``random_sample``
+builds each double from the next two 32-bit words exactly as
+``random()`` does (``(a >> 5) * 2**26 + (b >> 6)``, over ``2**53``), and
+hands the advanced state back.  A bulk draw is therefore the same
+sequence as that many ``random()`` calls, and the guarantee above holds.
 """
 
 import random
+
+import numpy as np
 
 
 class Rng:
@@ -24,6 +33,21 @@ class Rng:
     def uniform(self) -> float:
         """One draw in [0, 1)."""
         return self._random()
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """``k`` draws in [0, 1), the same values ``k`` calls of :meth:`uniform` return.
+
+        The generator's state goes to numpy and comes back advanced; the
+        ``random.Random`` behind ``_random`` stays the same object.
+        """
+        generator = self._random.__self__
+        version, internal, gauss_next = generator.getstate()
+        twister = np.random.RandomState(0)  # seeded only to skip reading OS entropy
+        twister.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+        draws = twister.random_sample(k)
+        _, key, pos = twister.get_state()[:3]
+        generator.setstate((version, (*key.tolist(), pos), gauss_next))
+        return draws
 
     def coin(self) -> int:
         """Fair bit: 1 with probability 1/2."""

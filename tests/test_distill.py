@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdsim import (
     PublicTranscript,
@@ -13,6 +15,7 @@ from qkdsim import (
     privacy_amplify,
     reconcile,
 )
+from qkdsim.distill import _parity
 from qkdsim.errors import KeyExhausted
 from util import subset_parity_information
 
@@ -25,6 +28,29 @@ def _random_bits(rng, n):
 
 def _flip_fraction(rng, bits, p):
     return [b ^ 1 if rng.uniform() < p else b for b in bits]
+
+
+def _scalar_privacy_amplify(key, k, s, rng, transcript):
+    """Amplification one subset at a time: the oracle for the chunked version."""
+    n = len(key)
+    subsets = []
+    final = []
+    for _ in range(n - k - s):
+        subset = rng.nonempty_subset(n)
+        transcript.post("alice", "pa-subset", ",".join(map(str, subset)))
+        subsets.append(subset)
+        final.append(_parity(key, subset))
+    return final, subsets
+
+
+@st.composite
+def _amplification_case(draw):
+    n = draw(st.integers(1, 300))
+    key = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    other = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k = draw(st.integers(0, n - 1))
+    s = draw(st.integers(0, n - 1 - k))
+    return key, other, k, s
 
 
 class TestBlockLength:
@@ -188,3 +214,29 @@ class TestPrivacyAmplify:
         assert means[2] > means[3] > means[4]
         assert 1.2 < means[2] / means[3] < 4.0
         assert 1.2 < means[3] / means[4] < 4.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.integers(0, 2000),
+    case=_amplification_case(),
+)
+# One- to three-bit keys draw empty rows often; each is redrawn.
+@example(seed=23, offset=0, case=([1], [0], 0, 0))
+@example(seed=5, offset=3, case=([0, 1], [1, 1], 0, 0))
+@example(seed=9, offset=1, case=([1, 0, 1], [0, 0, 1], 0, 0))
+def test_privacy_amplify_matches_scalar_oracle(seed, offset, case):
+    key, other, k, s = case
+    fast_rng, oracle_rng = Rng(seed), Rng(seed)
+    for _ in range(offset):
+        fast_rng.uniform()
+        oracle_rng.uniform()
+    fast_t, oracle_t = PublicTranscript(), PublicTranscript()
+    final, subsets = privacy_amplify(key, k, s, fast_rng, fast_t)
+    want_final, want_subsets = _scalar_privacy_amplify(key, k, s, oracle_rng, oracle_t)
+    assert final == want_final
+    assert [m.payload for m in fast_t.read_all()] == [m.payload for m in oracle_t.read_all()]
+    assert [subset.tolist() for subset in subsets] == want_subsets
+    assert fast_rng.uniform() == oracle_rng.uniform()
+    assert apply_subsets(other, subsets) == [_parity(other, subset) for subset in want_subsets]

@@ -146,6 +146,22 @@ GOLDENS = [
         "25769d759b373ea9fe9ab16032acfe2b934d008400a6d219ee1c03bc45f64007",
         "55e73fc953daea49089d2d51c0a5cf36c183fdb3ba482147b32d7e481aeec34a",
     ),
+    # Privacy amplification over a 3-bit and a 2-bit reconciled key
+    # draws empty subsets and redraws them (2 and 5 times).
+    Golden(
+        "bb84-pa-redraw",
+        "--protocol bb84 --n 24 --seed 55 --sec-param 0",
+        None,
+        "5f82a680e41dcec3e44c371d133db359c5fd50eba1336bd26257adf6ab3f781b",
+        "fc4d4a06c9335e9c04a5380debeb35fa5464ed16c4d068d65c52f56d9e5f2143",
+    ),
+    Golden(
+        "bb84-pa-redraw-5",
+        "--protocol bb84 --n 30 --seed 23 --sec-param 0",
+        None,
+        "baa454b9a4bb27b1e8ec7fb97e456e4732cd59247735fa214ae6808200759562",
+        "11cad974a42b02ca657c66907bfaa673823f6c73a04a07bafce8484e84d15468",
+    ),
 ]
 
 

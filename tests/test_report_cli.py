@@ -3,6 +3,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +206,19 @@ class TestRunCommand:
         assert code == 2
         assert out == ""
         assert "theta must be finite" in err
+
+    def test_module_entry_point(self, capsys):
+        # `python -m qkdsim` runs the same command line as the installed script.
+        argv = ["run", "--protocol", "bb84", "--n", "24", "--seed", "55", "--sec-param", "0"]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qkdsim", *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert proc.stdout == out
 
     def test_translucent_on_bb84_is_usage_error(self, capsys):
         code, out, err = run_cli(

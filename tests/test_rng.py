@@ -1,0 +1,26 @@
+"""The seeded stream: bulk draws against single draws."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qkdsim import Rng
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    offset=st.integers(0, 2000),
+    k=st.integers(0, 5000),
+)
+def test_uniforms_match_single_draws(seed, offset, k):
+    # 5000 draws take 10,000 words, so the bulk draw crosses the
+    # generator's 624-word regeneration many times from any offset.
+    bulk, single = Rng(seed), Rng(seed)
+    for _ in range(offset):
+        bulk.uniform()
+        single.uniform()
+    generator = bulk._random.__self__
+    assert bulk.uniforms(k).tolist() == [single.uniform() for _ in range(k)]
+    assert bulk.uniform() == single.uniform()
+    assert bulk._random.__self__ is generator
+    assert generator.getstate() == single._random.__self__.getstate()
