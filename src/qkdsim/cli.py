@@ -148,9 +148,8 @@ def _cmd_run(args) -> int:
     cfg = _make_config(_session_values(args))
     report = run_session(cfg)
     if args.dump_transcript:
-        transcript = session_transcript(report)
         with open(args.dump_transcript, "w", encoding="utf-8") as handle:
-            handle.write(transcript.serialize() if transcript else "")
+            handle.writelines(msg.line() for msg in session_transcript(report).read_all())
     if args.summary:
         for line in summary_lines(report, cfg):
             print(line)

@@ -19,8 +19,11 @@ posted (indices only) and the new key is their undisclosed parities.
 The subsets are drawn as rows of a boolean matrix, a chunk of rows at a
 time from :meth:`Rng.uniforms`; an empty row is dropped and the next
 row takes its place, which is the draw-and-reject rule of
-:meth:`Rng.nonempty_subset` draw for draw.  Each subset is kept as an
-``int32`` index array.
+:meth:`Rng.nonempty_subset` draw for draw.  A chunk's accepted rows
+become one packed ``int32`` array of column indices, and each subset is
+an ``int32`` view of its stretch of that array.  The chunk's decimal
+labels are gathered into one text, and each ``pa-subset`` payload is a
+slice of it.
 """
 
 import math
@@ -32,7 +35,7 @@ from .errors import KeyExhausted, ReconciliationFailed
 
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
-PA_CHUNK_DRAWS = 1 << 20  # about this many uniforms per chunk of amplification rows
+PA_CHUNK_DRAWS = 1 << 18  # about this many uniforms per chunk of amplification rows
 
 
 def default_block_policy(rate: float, key_len: int) -> int:
@@ -194,12 +197,15 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     The subset index lists are posted to the transcript (contents never
     are); each output bit is the parity of the key over one subset.
     Rows are drawn in chunks of at most the rows still wanted, so the
-    stream stops right after the last accepted subset.
+    stream stops right after the last accepted subset.  Each chunk is
+    rendered with whole-chunk numpy operations: its payloads are cut
+    from one decimal text of all its rows' indices.
 
     Returns
     -------
     (final, subsets)
-        The final key bits and the ``int32`` index arrays that produced them.
+        The final key bits and the subsets that produced them: ``int32``
+        index arrays, each a view of its chunk's packed index array.
 
     Raises
     ------
@@ -211,8 +217,8 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     if m < 1:
         raise KeyExhausted(f"n - k - s = {n} - {k} - {s} leaves no key")
     bits = np.asarray(key, dtype=bool)
-    positions = np.arange(n, dtype=np.int32)
-    labels = [str(i) for i in range(n)]
+    digits = len(str(n - 1))
+    labels = np.array([f"{i}," for i in range(n)], dtype=f"S{digits + 1}")  # NUL-padded
     rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
     subsets = []
     final = []
@@ -221,10 +227,19 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
         rows = rng.uniforms(wanted * n).reshape(wanted, n) < 0.5
         rows = rows[rows.any(axis=1)]  # an empty row is rejected; the next row is its redraw
         final.extend((np.count_nonzero(rows & bits, axis=1) & 1).tolist())
-        for row in rows:
-            subset = positions[row]
-            transcript.post("alice", "pa-subset", ",".join(map(labels.__getitem__, subset.tolist())))
-            subsets.append(subset)
+        # Every row's indices, row after row, and the same labels as one text.
+        cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
+        text = labels.take(cols).tobytes().replace(b"\0", b"").decode("ascii")
+        # A label is its digits and a comma: two bytes, plus one per power of ten it reaches.
+        counts = np.count_nonzero(rows, axis=1)
+        widths = 2 * counts
+        for d in range(1, digits):
+            widths += np.count_nonzero(rows[:, 10**d :], axis=1)
+        start = text_start = 0
+        for end, text_end in zip(np.cumsum(counts).tolist(), np.cumsum(widths).tolist()):
+            transcript.post("alice", "pa-subset", text[text_start : text_end - 1])
+            subsets.append(cols[start:end])
+            start, text_start = end, text_end
     return final, subsets
 
 

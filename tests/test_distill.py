@@ -1,6 +1,7 @@
 """Reconciliation and privacy amplification."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +16,7 @@ from qkdsim import (
     privacy_amplify,
     reconcile,
 )
+from qkdsim import distill
 from qkdsim.distill import _parity
 from qkdsim.errors import KeyExhausted
 from util import subset_parity_information
@@ -215,25 +217,47 @@ class TestPrivacyAmplify:
         assert 1.2 < means[2] / means[3] < 4.0
         assert 1.2 < means[3] / means[4] < 4.0
 
+    def test_temporary_memory_stays_small(self):
+        # A 10k-pulse session reconciles about 3,400 bits.  What PA
+        # allocates and frees again, beyond the subsets and payloads it
+        # keeps, adds to every session's peak RSS.
+        key = _random_bits(Rng(113), 3400)
+        transcript = PublicTranscript()
+        tracemalloc.start()
+        try:
+            result = privacy_amplify(key, 0, 200, Rng(114), transcript)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result[1]) == len(transcript) == 3200
+        assert peak - retained <= 6 * 2**20
+
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     offset=st.integers(0, 2000),
     case=_amplification_case(),
+    chunk_draws=st.integers(1, 5000),  # down to one row per chunk
 )
 # One- to three-bit keys draw empty rows often; each is redrawn.
-@example(seed=23, offset=0, case=([1], [0], 0, 0))
-@example(seed=5, offset=3, case=([0, 1], [1, 1], 0, 0))
-@example(seed=9, offset=1, case=([1, 0, 1], [0, 0, 1], 0, 0))
-def test_privacy_amplify_matches_scalar_oracle(seed, offset, case):
+@example(seed=23, offset=0, case=([1], [0], 0, 0), chunk_draws=distill.PA_CHUNK_DRAWS)
+@example(seed=5, offset=3, case=([0, 1], [1, 1], 0, 0), chunk_draws=distill.PA_CHUNK_DRAWS)
+@example(seed=9, offset=1, case=([1, 0, 1], [0, 0, 1], 0, 0), chunk_draws=distill.PA_CHUNK_DRAWS)
+# Keys past 1,000 bits render four-digit labels next to three-digit ones.
+@example(seed=31, offset=0, case=([1, 0, 0] * 334, [0, 1] * 501, 980, 8), chunk_draws=1)
+@example(seed=32, offset=7, case=([0, 1, 1, 0] * 275, [1] * 1100, 1000, 40), chunk_draws=5000)
+@example(seed=33, offset=2, case=([1] * 1001, [0, 1, 1] * 333 + [1, 0], 990, 0), chunk_draws=2500)
+def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
     key, other, k, s = case
     fast_rng, oracle_rng = Rng(seed), Rng(seed)
     for _ in range(offset):
         fast_rng.uniform()
         oracle_rng.uniform()
     fast_t, oracle_t = PublicTranscript(), PublicTranscript()
-    final, subsets = privacy_amplify(key, k, s, fast_rng, fast_t)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(distill, "PA_CHUNK_DRAWS", chunk_draws)
+        final, subsets = privacy_amplify(key, k, s, fast_rng, fast_t)
     want_final, want_subsets = _scalar_privacy_amplify(key, k, s, oracle_rng, oracle_t)
     assert final == want_final
     assert [m.payload for m in fast_t.read_all()] == [m.payload for m in oracle_t.read_all()]

@@ -1,5 +1,6 @@
 """Report documents and the command-line front end."""
 
+import hashlib
 import json
 import math
 import os
@@ -170,6 +171,7 @@ class TestRunCommand:
             sender, tag, payload_hex = line.split("\t")
             assert sender in ("alice", "bob")
             bytes.fromhex(payload_hex)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == json.loads(out)["transcript_digest"]
 
     def test_full_interception_signature(self, capsys):
         code, out, _ = run_cli(
