@@ -59,10 +59,13 @@ def _read_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            key = key.strip()
+            key, value = key.strip(), value.strip()
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key.replace("-", "_")] = _CONFIG_TYPES[key](value.strip())
+            try:
+                values[key.replace("-", "_")] = _CONFIG_TYPES[key](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: invalid value {value!r} for key {key!r}") from None
     return values
 
 

@@ -22,8 +22,8 @@ row takes its place, which is the draw-and-reject rule of
 :meth:`Rng.nonempty_subset` draw for draw.  A chunk's accepted rows
 become one packed ``int32`` array of column indices, and each subset is
 an ``int32`` view of its stretch of that array.  The chunk's decimal
-labels are gathered into one text, and each ``pa-subset`` payload is a
-slice of it.
+labels are gathered into one text of one line per row, and each
+``pa-subset`` payload is one of those lines.
 """
 
 import math
@@ -198,8 +198,8 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     are); each output bit is the parity of the key over one subset.
     Rows are drawn in chunks of at most the rows still wanted, so the
     stream stops right after the last accepted subset.  Each chunk is
-    rendered with whole-chunk numpy operations: its payloads are cut
-    from one decimal text of all its rows' indices.
+    rendered with whole-chunk numpy operations: its payloads are the
+    lines of one decimal text of all its rows' indices.
 
     Returns
     -------
@@ -217,8 +217,8 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     if m < 1:
         raise KeyExhausted(f"n - k - s = {n} - {k} - {s} leaves no key")
     bits = np.asarray(key, dtype=bool)
-    digits = len(str(n - 1))
-    labels = np.array([f"{i}," for i in range(n)], dtype=f"S{digits + 1}")  # NUL-padded
+    # Label i is "i," inside a row and label n + i is "i\n" at a row's end; NUL-padded.
+    labels = np.concatenate([np.array([f"{i}{c}" for i in range(n)], dtype="S") for c in ",\n"])
     rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
     subsets = []
     final = []
@@ -227,19 +227,18 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
         rows = rng.uniforms(wanted * n).reshape(wanted, n) < 0.5
         rows = rows[rows.any(axis=1)]  # an empty row is rejected; the next row is its redraw
         final.extend((np.count_nonzero(rows & bits, axis=1) & 1).tolist())
-        # Every row's indices, row after row, and the same labels as one text.
+        # Every row's indices, row after row, and their labels as one text of one line per row.
         cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
-        text = labels.take(cols).tobytes().replace(b"\0", b"").decode("ascii")
-        # A label is its digits and a comma: two bytes, plus one per power of ten it reaches.
-        counts = np.count_nonzero(rows, axis=1)
-        widths = 2 * counts
-        for d in range(1, digits):
-            widths += np.count_nonzero(rows[:, 10**d :], axis=1)
-        start = text_start = 0
-        for end, text_end in zip(np.cumsum(counts).tolist(), np.cumsum(widths).tolist()):
-            transcript.post("alice", "pa-subset", text[text_start : text_end - 1])
+        ends = np.cumsum(np.count_nonzero(rows, axis=1))
+        gathered = labels.take(cols)
+        gathered[ends - 1] = labels.take(cols[ends - 1] + n)  # each row's last label ends its line
+        lines = gathered.tobytes().replace(b"\0", b"").decode("ascii").split("\n")
+        del gathered  # kept through the next chunk's draws, it raised peak RSS by about 2 MB
+        start = 0  # the text ends in a newline; zip drops the empty piece after it
+        for end, payload in zip(ends.tolist(), lines):
+            transcript.post("alice", "pa-subset", payload)
             subsets.append(cols[start:end])
-            start, text_start = end, text_end
+            start = end
     return final, subsets
 
 
@@ -249,4 +248,4 @@ def apply_subsets(key, subsets):
     ``subsets`` holds index arrays or plain lists of indices.
     """
     bits = np.asarray(key, dtype=bool)
-    return [np.count_nonzero(bits[np.asarray(subset, dtype=np.intp)]) & 1 for subset in subsets]
+    return [np.count_nonzero(bits.take(subset)) & 1 for subset in subsets]

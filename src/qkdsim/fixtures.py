@@ -8,7 +8,7 @@ ordinary machinery and checks the outcome against the recorded result:
   from 1 as in the recorded table).
 * ``fig6b`` -- the same sender history with an intercept-resend
   eavesdropper in the middle; Bob's raw key becomes 011110, wrong at
-  slots 6 and 7.
+  slots 6 and 7, two of the slots where Eve measured in the wrong alphabet.
 * ``vernam`` -- the one-time-pad worked example
   0110 0101 1101 xor 1010 1110 0100 = 1100 1011 1001.
 """
@@ -46,67 +46,59 @@ def fixture_names():
     return ("fig6a", "fig6b", "vernam")
 
 
-def _sift_recorded(bob_bits):
+def _csv(values) -> str:
+    return ",".join(map(str, values))
+
+
+def _fig6(tapped: bool) -> FixtureOutcome:
+    """Sift the recorded exchange: quiet (fig6a) or with Eve in the middle (fig6b)."""
     record = Stage1Record(
         "bb84",
         list(_ALICE_BITS),
         [True] * 10,
-        list(bob_bits),
+        list(_BOB_BITS_TAPPED if tapped else _BOB_BITS_QUIET),
         alice_alphabets=list(_ALICE_ALPHABETS),
         bob_alphabets=list(_BOB_ALPHABETS),
     )
-    return sift_bb84(record, PublicTranscript())
-
-
-def _fig6a() -> FixtureOutcome:
-    sift = _sift_recorded(_BOB_BITS_QUIET)
+    sift = sift_bb84(record, PublicTranscript())
     raw_alice = bits_to_string(sift.raw_alice)
     raw_bob = bits_to_string(sift.raw_bob)
     slots = [s + 1 for s in sift.slots]
-    passed = raw_alice == "011000" and raw_bob == "011000" and slots == [2, 4, 5, 6, 7, 9]
+    data = {"raw_alice": raw_alice, "raw_bob": raw_bob, "slots": slots}
     lines = [
-        f"kept slots: {','.join(map(str, slots))}",
+        f"kept slots: {_csv(slots)}",
         f"raw key (alice): {raw_alice}",
         f"raw key (bob):   {raw_bob}",
-        f"expected raw key 011000 at slots 2,4,5,6,7,9: {'pass' if passed else 'FAIL'}",
     ]
-    return FixtureOutcome(
-        "fig6a", passed, lines, {"raw_alice": raw_alice, "raw_bob": raw_bob, "slots": slots}
-    )
+    passed = raw_alice == "011000" and slots == [2, 4, 5, 6, 7, 9]
+    if not tapped:
+        passed = passed and raw_bob == "011000"
+        lines.append(f"expected raw key 011000 at slots 2,4,5,6,7,9: {'pass' if passed else 'FAIL'}")
+        return FixtureOutcome("fig6a", passed, lines, data)
 
-
-def _fig6b() -> FixtureOutcome:
-    sift = _sift_recorded(_BOB_BITS_TAPPED)
-    raw_alice = bits_to_string(sift.raw_alice)
-    raw_bob = bits_to_string(sift.raw_bob)
-    slots = [s + 1 for s in sift.slots]
     error_positions = [i + 1 for i, (a, b) in enumerate(zip(sift.raw_alice, sift.raw_bob)) if a != b]
     error_slots = [slots[i - 1] for i in error_positions]
+    eve_wrong_slots = [s + 1 for s in sift.slots if _EVE_ALPHABETS[s] != _ALICE_ALPHABETS[s]]
+    # Where Eve chose Alice's alphabet she read Alice's bit, so her resend caused no error.
+    eve_read = [_EVE_BITS[s] == _ALICE_BITS[s] for s in sift.slots if s + 1 not in eve_wrong_slots]
     passed = (
-        raw_alice == "011000"
+        passed
         and raw_bob == "011110"
         and error_positions == [4, 5]
         and error_slots == [6, 7]
+        and eve_wrong_slots == [2, 6, 7]
+        and set(error_slots) <= set(eve_wrong_slots)
+        and all(eve_read)
     )
-    lines = [
-        f"kept slots: {','.join(map(str, slots))}",
-        f"raw key (alice): {raw_alice}",
-        f"raw key (bob):   {raw_bob}",
-        f"errors at sifted positions {','.join(map(str, error_positions))} (slots {','.join(map(str, error_slots))})",
+    lines += [
+        f"errors at sifted positions {_csv(error_positions)} (slots {_csv(error_slots)})",
+        f"eve measured in the wrong alphabet at slots {_csv(eve_wrong_slots)}",
         f"expected bob raw key 011110 with errors at slots 6,7: {'pass' if passed else 'FAIL'}",
     ]
-    return FixtureOutcome(
-        "fig6b",
-        passed,
-        lines,
-        {
-            "raw_alice": raw_alice,
-            "raw_bob": raw_bob,
-            "slots": slots,
-            "error_positions": error_positions,
-            "error_slots": error_slots,
-        },
+    data.update(
+        error_positions=error_positions, error_slots=error_slots, eve_wrong_slots=eve_wrong_slots
     )
+    return FixtureOutcome("fig6b", passed, lines, data)
 
 
 def _vernam() -> FixtureOutcome:
@@ -124,7 +116,11 @@ def _vernam() -> FixtureOutcome:
     return FixtureOutcome("vernam", passed, lines, {"cipher": cipher})
 
 
-_RUNNERS = {"fig6a": _fig6a, "fig6b": _fig6b, "vernam": _vernam}
+_RUNNERS = {
+    "fig6a": lambda: _fig6(tapped=False),
+    "fig6b": lambda: _fig6(tapped=True),
+    "vernam": _vernam,
+}
 
 
 def run_fixture(name: str) -> FixtureOutcome:

@@ -40,3 +40,11 @@ def test_fixtures_have_no_randomness():
     for name in fixture_names():
         a, b = run_fixture(name), run_fixture(name)
         assert a.lines == b.lines and a.data == b.data
+
+
+def test_tapped_errors_only_where_eve_chose_wrong():
+    outcome = run_fixture("fig6b")
+    assert outcome.passed
+    assert outcome.data["eve_wrong_slots"] == [2, 6, 7]
+    assert set(outcome.data["error_slots"]) <= set(outcome.data["eve_wrong_slots"])
+    assert "eve measured in the wrong alphabet at slots 2,6,7" in outcome.lines

@@ -125,6 +125,15 @@ class TestRunCommand:
         assert doc["config_theta"] == 0.5
         assert doc["config_eve"] == "entangle"
 
+    def test_config_file_bad_value_names_its_line(self, capsys, tmp_path):
+        cfg_file = tmp_path / "session.cfg"
+        cfg_file.write_text("protocol = bb84\nn = 1e4\n")
+        code, out, err = run_cli(capsys, ["run", "--config", str(cfg_file)])
+        assert code == 2
+        assert out == ""
+        assert f"{cfg_file}:2:" in err
+        assert "'n'" in err and "'1e4'" in err
+
     def test_config_file_unknown_eve_is_usage_error(self, capsys, tmp_path):
         # Config values bypass argparse's choices; the eve table must refuse the name.
         cfg_file = tmp_path / "session.cfg"
