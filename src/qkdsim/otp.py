@@ -23,7 +23,16 @@ def xor_bytes(data: bytes, key: bytes) -> bytes:
 
 
 def bits_from_string(text: str):
-    """Parse a string of '0'/'1' characters into a bit list."""
+    """Parse a string of '0'/'1' characters into a bit list.
+
+    Raises
+    ------
+    ValueError
+        Naming the first other character and its index.
+    """
+    for index, ch in enumerate(text):
+        if ch not in ("0", "1"):
+            raise ValueError(f"not a bit: {ch!r} at index {index}")
     return [1 if ch == "1" else 0 for ch in text]
 
 

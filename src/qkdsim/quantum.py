@@ -5,7 +5,9 @@ single polarization qubit, :class:`Ket4` for a carrier/probe product
 space.  Operators are plain 2x2 / 4x4 complex numpy arrays.  Amplitudes
 are kept as Python complex scalars so the per-pulse hot path (inner
 products, Born-rule draws) avoids numpy call overhead; matrix-level
-operations go through numpy.
+operations go through numpy.  The POVM follows the same rule: a
+:class:`PovmSet` reads its element entries into Python complex scalars
+once, when it is built, and each POVM readout works on those.
 
 Conventions
 -----------
@@ -23,7 +25,7 @@ Conventions
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -217,18 +219,32 @@ class PovmOutcome(IntEnum):
     INCONCLUSIVE = 2
 
 
+_OUTCOMES = tuple(PovmOutcome)
+
+
 @dataclass(frozen=True, eq=False)
 class PovmSet:
     """Three-element positive operator measure for unambiguous code-state readout.
 
     ``a_plus`` fires only for the plus code state (outcome ONE),
     ``a_minus`` only for the minus code state (outcome ZERO), and
-    ``a_inconclusive`` absorbs the rest.
+    ``a_inconclusive`` absorbs the rest.  The set keeps read-only copies
+    of the elements, so the entries it reads once at construction, as
+    Python complex scalars in outcome order, cannot go stale.
     """
 
     a_plus: np.ndarray
     a_minus: np.ndarray
     a_inconclusive: np.ndarray
+    _entries: tuple = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("a_plus", "a_minus", "a_inconclusive"):
+            mat = np.array(getattr(self, name), dtype=complex)
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
+        entries = tuple(tuple(complex(z) for z in el.flat) for el in self.elements())
+        object.__setattr__(self, "_entries", entries)
 
     def elements(self):
         """Elements in outcome order: ZERO, ONE, INCONCLUSIVE."""
@@ -291,8 +307,17 @@ def build_povm(theta: float) -> PovmSet:
 
 
 def povm_probabilities(state: Ket2, povm: PovmSet):
-    """Outcome probabilities (ZERO, ONE, INCONCLUSIVE) for a given state."""
-    return tuple(quad_form(el, state) for el in povm.elements())
+    """Outcome probabilities (ZERO, ONE, INCONCLUSIVE) for a given state.
+
+    Each is :func:`quad_form` of one element, evaluated by the same
+    expression on the set's scalar entries, so the floats are identical.
+    """
+    a0, a1 = state.a0, state.a1
+    c0, c1 = a0.conjugate(), a1.conjugate()
+    return tuple(
+        (c0 * (m00 * a0 + m01 * a1) + c1 * (m10 * a0 + m11 * a1)).real
+        for m00, m01, m10, m11 in povm._entries
+    )
 
 
 def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
@@ -300,7 +325,7 @@ def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
     probs = povm_probabilities(state, povm)
     if abs(sum(probs) - 1.0) > OPERATOR_TOL:
         raise NotHermitian(f"POVM probabilities sum to {sum(probs)!r}")
-    return PovmOutcome(rng.pick_weighted(probs))
+    return _OUTCOMES[rng.pick_weighted(probs)]
 
 
 def tensor(carrier: Ket2, probe: Ket2) -> Ket4:

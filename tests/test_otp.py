@@ -52,3 +52,9 @@ def test_byte_form_matches_bit_form():
         bits_from_string(format(int.from_bytes(key, "big"), "016b")),
     )
     assert format(int.from_bytes(byte_out, "big"), "016b") == bits_to_string(bit_out)
+
+
+@pytest.mark.parametrize("text, bad, index", [("01x1", "x", 2), ("2", "2", 0), ("0 1", " ", 1)])
+def test_bits_from_string_rejects_non_bits(text, bad, index):
+    with pytest.raises(ValueError, match=f"{bad!r} at index {index}$"):
+        bits_from_string(text)

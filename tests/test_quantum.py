@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from qkdsim import (
     Ket2,
     Ket4,
     PovmOutcome,
+    PovmSet,
     Rng,
     apply_unitary,
     build_povm,
@@ -206,6 +209,49 @@ class TestPovm:
                 assert np.max(np.abs(el - el.conj().T)) < 1e-10
                 assert float(np.trace(el).real) > -1e-10
                 assert float(np.linalg.det(el).real) > -1e-10
+
+    def test_elements_are_read_only(self):
+        # The set reads its entries once; a write would leave them stale.
+        povm = build_povm(math.pi / 8)
+        for el in (povm.a_plus, povm.a_minus, povm.a_inconclusive):
+            with pytest.raises(ValueError):
+                el[0, 0] = 0.0
+
+    def test_caller_arrays_stay_writable(self):
+        ref = build_povm(math.pi / 8)
+        a, b, c = (np.array(el) for el in (ref.a_plus, ref.a_minus, ref.a_inconclusive))
+        povm = PovmSet(a, b, c)
+        assert a.flags.writeable and b.flags.writeable and c.flags.writeable
+        a[0, 0] = 0.0
+        assert povm_probabilities(DIAG, povm) == povm_probabilities(DIAG, ref)
+
+
+_COS, _SIN = math.cos(math.pi / 8), math.sin(math.pi / 8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    theta=st.floats(0.0, math.pi / 4, exclude_min=True, exclude_max=True),
+    amps=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    seed=st.integers(0, 2**32 - 1),
+    offset=st.integers(0, 50),
+)
+# The two B92 code states at the talk's pi/8.
+@example(theta=math.pi / 8, amps=(_COS, 0.0, _SIN, 0.0), seed=8, offset=0)
+@example(theta=math.pi / 8, amps=(_COS, 0.0, -_SIN, 0.0), seed=9, offset=3)
+def test_povm_readout_matches_quad_form_oracle(theta, amps, seed, offset):
+    re0, im0, re1, im1 = amps
+    assume(re0 * re0 + im0 * im0 + re1 * re1 + im1 * im1 > 1e-12)
+    state = Ket2(complex(re0, im0), complex(re1, im1))
+    povm = build_povm(theta)
+    oracle = tuple(quad_form(el, state) for el in povm.elements())
+    assert povm_probabilities(state, povm) == oracle
+    rng, twin = Rng(seed), Rng(seed)
+    for _ in range(offset):
+        rng.uniform()
+        twin.uniform()
+    assert measure_povm(state, povm, rng) is PovmOutcome(twin.pick_weighted(oracle))
+    assert rng.uniform() == twin.uniform()
 
 
 class TestMeasurePovm:
