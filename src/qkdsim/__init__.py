@@ -60,7 +60,6 @@ from .quantum import (
     build_povm,
     expectation,
     inner,
-    measure_carrier,
     measure_povm,
     measure_povm_carrier,
     measure_projective,
@@ -70,7 +69,6 @@ from .quantum import (
     quad_form,
     rotation,
     states_equal,
-    tensor,
     uncertainty_product,
 )
 from .report import build_document, render_json, strategy_label, summary_lines

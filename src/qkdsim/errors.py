@@ -29,10 +29,6 @@ class ThetaOutOfRange(QkdError):
     """A code-state angle lies outside the open interval (0, pi/4)."""
 
 
-class DegenerateProjection(QkdError):
-    """A projected component has vanishing norm and cannot be renormalized."""
-
-
 class NotProjectiveAlphabet(QkdError):
     """Basis decoding was requested for an alphabet without an orthonormal basis."""
 

@@ -172,15 +172,15 @@ def validate_interaction(strategy) -> None:
         raise TypeError(f"not a translucent strategy: {type(strategy).__name__}")
     if isinstance(strategy, EntanglingEve):
         amp_norm = abs(strategy.a) ** 2 + abs(strategy.b) ** 2
-        if abs(amp_norm - 1.0) > AMPLITUDE_TOL:
+        if not abs(amp_norm - 1.0) <= AMPLITUDE_TOL:
             raise NotUnitary(f"|a|^2 + |b|^2 = {amp_norm:.12f}, expected 1")
         norm_m, norm_p = (float(np.linalg.norm(vec)) for vec in strategy.carriers())
-        if abs(norm_p - 1.0) > AMPLITUDE_TOL or abs(norm_m - 1.0) > AMPLITUDE_TOL:
+        if not (abs(norm_p - 1.0) <= AMPLITUDE_TOL and abs(norm_m - 1.0) <= AMPLITUDE_TOL):
             raise NotUnitary(f"output norms ({norm_p:.12f}, {norm_m:.12f}) are not 1")
     (out_minus, probe_minus), (out_plus, probe_plus) = strategy.coupling
     overlap_out = inner(out_plus, out_minus) * inner(probe_plus, probe_minus)
     overlap_in = math.cos(2.0 * strategy.theta)
-    if abs(overlap_out - overlap_in) > INTERACTION_TOL:
+    if not abs(overlap_out - overlap_in) <= INTERACTION_TOL:
         raise NotUnitary(
             f"output overlap {overlap_out:.8f} differs from input overlap {overlap_in:.8f}"
         )

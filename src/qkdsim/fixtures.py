@@ -43,7 +43,7 @@ class FixtureOutcome:
 
 
 def fixture_names():
-    return ("fig6a", "fig6b", "vernam")
+    return tuple(_RUNNERS)
 
 
 def _csv(values) -> str:

@@ -1,13 +1,17 @@
-"""Exact state-vector mechanics for one qubit and one qubit-probe pair.
+"""Exact state-vector mechanics for one polarization qubit.
 
-States are unit vectors over the complex numbers: :class:`Ket2` for a
-single polarization qubit, :class:`Ket4` for a carrier/probe product
-space.  Operators are plain 2x2 / 4x4 complex numpy arrays.  Amplitudes
-are kept as Python complex scalars so the per-pulse hot path (inner
-products, Born-rule draws) avoids numpy call overhead; matrix-level
-operations go through numpy.  The POVM follows the same rule: a
-:class:`PovmSet` reads its element entries into Python complex scalars
-once, when it is built, and each POVM readout works on those.
+States are unit vectors over the complex numbers (:class:`Ket2`), and
+operators are plain 2x2 complex numpy arrays.  Amplitudes are kept as
+Python complex scalars so the per-pulse hot path (inner products,
+Born-rule draws) avoids numpy call overhead; matrix-level operations go
+through numpy.  The POVM follows the same rule: a :class:`PovmSet`
+reads its element entries into Python complex scalars once, when it is
+built, and each POVM readout works on those.
+
+Every eavesdropper forwards a :class:`Ket2`, so the engine never builds
+a joint carrier/probe state.  The only joint-state code left, :class:`Ket4`,
+:func:`product_factors` and :func:`measure_povm_carrier`, is the entangling
+tap's test oracle, and the benchmark's tracer wraps the last one by name.
 
 Conventions
 -----------
@@ -21,7 +25,7 @@ Conventions
   equal seeds give identical outcome sequences.
 * Tolerances: 1e-12 on state norms, 1e-10 on unitarity, Hermiticity and
   positivity.  Double precision on these tiny matrices is far better
-  than either bound.
+  than either bound.  Checks read ``not defect <= TOL``, so NaN fails.
 """
 
 import math
@@ -32,7 +36,6 @@ import numpy as np
 
 from .errors import (
     BadBasis,
-    DegenerateProjection,
     DimensionMismatch,
     NotHermitian,
     NotUnitary,
@@ -48,7 +51,7 @@ _ZERO_NORM_SQ = 1e-24
 class Ket2:
     """Unit state vector of a single qubit: amplitudes over basis states 0 and 1.
 
-    Construction rescales the input to unit norm, so any nonzero
+    Construction rescales the input to unit norm, so any nonzero, finite
     amplitude pair represents a valid state.
     """
 
@@ -58,6 +61,8 @@ class Ket2:
         a0 = complex(a0)
         a1 = complex(a1)
         n2 = a0.real * a0.real + a0.imag * a0.imag + a1.real * a1.real + a1.imag * a1.imag
+        if not n2 < math.inf:
+            raise ValueError(f"squared norm of the amplitudes is not finite: {n2!r}")
         if n2 < _ZERO_NORM_SQ:
             raise ZeroVector("cannot normalize the zero vector")
         if n2 != 1.0:
@@ -93,19 +98,14 @@ class Ket4:
     def __init__(self, c0, c1, c2, c3):
         c = (complex(c0), complex(c1), complex(c2), complex(c3))
         n2 = sum(z.real * z.real + z.imag * z.imag for z in c)
+        if not n2 < math.inf:
+            raise ValueError(f"squared norm of the amplitudes is not finite: {n2!r}")
         if n2 < _ZERO_NORM_SQ:
             raise ZeroVector("cannot normalize the zero vector")
         if n2 != 1.0:
             inv = 1.0 / math.sqrt(n2)
             c = tuple(z * inv for z in c)
         self.c = c
-
-    @property
-    def vec(self) -> np.ndarray:
-        return np.array(self.c, dtype=complex)
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(z) ** 2 for z in self.c))
 
     def __repr__(self):
         return "Ket4(" + ", ".join(f"{z:.6g}" for z in self.c) + ")"
@@ -122,12 +122,10 @@ def inner(u, v) -> complex:
     Raises
     ------
     DimensionMismatch
-        If the operands do not live in the same space.
+        Unless both operands are qubit states.
     """
     if isinstance(u, Ket2) and isinstance(v, Ket2):
         return u.a0.conjugate() * v.a0 + u.a1.conjugate() * v.a1
-    if isinstance(u, Ket4) and isinstance(v, Ket4):
-        return sum(a.conjugate() * b for a, b in zip(u.c, v.c))
     raise DimensionMismatch(f"cannot pair {type(u).__name__} with {type(v).__name__}")
 
 
@@ -151,41 +149,33 @@ def _hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
-def apply_unitary(mat: np.ndarray, state):
-    """Evolve a state by a unitary matrix of matching dimension.
+def apply_unitary(mat: np.ndarray, state: Ket2) -> Ket2:
+    """Evolve a qubit state by a 2x2 unitary matrix.
 
     Raises
     ------
     NotUnitary
         If ``mat`` fails the 1e-10 unitarity check.
     DimensionMismatch
-        If the matrix dimension does not match the state.
+        If ``state`` is not a qubit or ``mat`` is not 2x2.
     """
+    if not isinstance(state, Ket2):
+        raise DimensionMismatch(f"cannot evolve {type(state).__name__}")
     mat = np.asarray(mat, dtype=complex)
-    if isinstance(state, Ket2):
-        if mat.shape != (2, 2):
-            raise DimensionMismatch(f"matrix shape {mat.shape} does not act on a qubit")
-        defect = _unitarity_defect(mat)
-        if defect > OPERATOR_TOL:
-            raise NotUnitary(f"matrix deviates from unitarity by {defect:.3e}")
-        a0, a1 = state.a0, state.a1
-        return Ket2(mat[0, 0] * a0 + mat[0, 1] * a1, mat[1, 0] * a0 + mat[1, 1] * a1)
-    if isinstance(state, Ket4):
-        if mat.shape != (4, 4):
-            raise DimensionMismatch(f"matrix shape {mat.shape} does not act on a carrier-probe pair")
-        defect = _unitarity_defect(mat)
-        if defect > OPERATOR_TOL:
-            raise NotUnitary(f"matrix deviates from unitarity by {defect:.3e}")
-        out = mat @ state.vec
-        return Ket4(*out)
-    raise DimensionMismatch(f"cannot evolve {type(state).__name__}")
+    if mat.shape != (2, 2):
+        raise DimensionMismatch(f"matrix shape {mat.shape} does not act on a qubit")
+    defect = _unitarity_defect(mat)
+    if not defect <= OPERATOR_TOL:
+        raise NotUnitary(f"matrix deviates from unitarity by {defect:.3e}")
+    a0, a1 = state.a0, state.a1
+    return Ket2(mat[0, 0] * a0 + mat[0, 1] * a1, mat[1, 0] * a0 + mat[1, 1] * a1)
 
 
 def _check_basis(basis):
     b0, b1 = basis
     if not (isinstance(b0, Ket2) and isinstance(b1, Ket2)):
         raise BadBasis("basis must be a pair of qubit states")
-    if abs(inner(b0, b1)) > OPERATOR_TOL:
+    if not abs(inner(b0, b1)) <= OPERATOR_TOL:
         raise BadBasis(f"basis states are not orthogonal: |<b0|b1>| = {abs(inner(b0, b1)):.3e}")
     return b0, b1
 
@@ -262,10 +252,11 @@ def quad_form(mat: np.ndarray, state: Ket2) -> float:
 
 
 def _positivity_defect(mat: np.ndarray) -> float:
-    # 2x2 Hermitian positivity via trace and determinant; avoids an eigensolver.
-    tr = float(np.trace(mat).real)
-    det = float(np.linalg.det(mat).real)
-    return max(-tr, -det, 0.0)
+    # 2x2 Hermitian positivity via trace and closed-form determinant; avoids an
+    # eigensolver.  np.max keeps a NaN, so a NaN entry fails the check.
+    m00, m11, m01 = float(mat[0, 0].real), float(mat[1, 1].real), complex(mat[0, 1])
+    det = m00 * m11 - (m01.real * m01.real + m01.imag * m01.imag)
+    return float(np.max((-(m00 + m11), -det, 0.0)))
 
 
 def build_povm(theta: float) -> PovmSet:
@@ -296,12 +287,12 @@ def build_povm(theta: float) -> PovmSet:
     povm = PovmSet(a_plus, a_minus, a_inc)
 
     completeness = float(np.max(np.abs(a_plus + a_minus + a_inc - eye)))
-    if completeness > OPERATOR_TOL:
+    if not completeness <= OPERATOR_TOL:
         raise NotHermitian(f"POVM completeness defect {completeness:.3e}")
     for el in povm.elements():
-        if _hermiticity_defect(el) > OPERATOR_TOL:
+        if not _hermiticity_defect(el) <= OPERATOR_TOL:
             raise NotHermitian("POVM element is not Hermitian")
-        if _positivity_defect(el) > OPERATOR_TOL:
+        if not _positivity_defect(el) <= OPERATOR_TOL:
             raise NotHermitian("POVM element is not positive semidefinite")
     return povm
 
@@ -323,53 +314,9 @@ def povm_probabilities(state: Ket2, povm: PovmSet):
 def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
     """Sample one POVM outcome; probabilities are the three quadratic forms."""
     probs = povm_probabilities(state, povm)
-    if abs(sum(probs) - 1.0) > OPERATOR_TOL:
+    if not abs(sum(probs) - 1.0) <= OPERATOR_TOL:
         raise NotHermitian(f"POVM probabilities sum to {sum(probs)!r}")
     return _OUTCOMES[rng.pick_weighted(probs)]
-
-
-def tensor(carrier: Ket2, probe: Ket2) -> Ket4:
-    """Product state of a carrier qubit and a probe qubit."""
-    return Ket4(
-        carrier.a0 * probe.a0,
-        carrier.a0 * probe.a1,
-        carrier.a1 * probe.a0,
-        carrier.a1 * probe.a1,
-    )
-
-
-def measure_carrier(joint: Ket4, basis, rng):
-    """Projectively measure the carrier half of a joint state.
-
-    Returns
-    -------
-    (bit, residual) : (int, Ket2)
-        Outcome probability is the squared norm of the projected
-        component; ``residual`` is the renormalized post-measurement
-        probe state.
-
-    Raises
-    ------
-    DegenerateProjection
-        If the drawn component has numerically zero norm.
-    """
-    b0, b1 = _check_basis(basis)
-    c = joint.c
-
-    def project(b):
-        amp0 = b.a0.conjugate() * c[0] + b.a1.conjugate() * c[2]
-        amp1 = b.a0.conjugate() * c[1] + b.a1.conjugate() * c[3]
-        return amp0, amp1
-
-    amps0 = project(b0)
-    amps1 = project(b1)
-    p0 = abs(amps0[0]) ** 2 + abs(amps0[1]) ** 2
-    bit = 0 if rng.uniform() < p0 else 1
-    amp = amps0 if bit == 0 else amps1
-    norm_sq = abs(amp[0]) ** 2 + abs(amp[1]) ** 2
-    if norm_sq < _ZERO_NORM_SQ:
-        raise DegenerateProjection("projected component has zero norm")
-    return bit, Ket2(amp[0], amp[1])
 
 
 def product_factors(joint: Ket4, tol: float = 1e-8):
@@ -383,7 +330,7 @@ def product_factors(joint: Ket4, tol: float = 1e-8):
     """
     mat = np.array([[joint.c[0], joint.c[1]], [joint.c[2], joint.c[3]]])
     u, s, vh = np.linalg.svd(mat)
-    if s[1] > tol * max(s[0], 1.0):
+    if not s[1] <= tol * max(s[0], 1.0):
         raise ValueError(f"state is entangled (secondary singular value {s[1]:.3e})")
     return Ket2(u[0, 0], u[1, 0]), Ket2(vh[0, 0], vh[0, 1])
 
@@ -398,7 +345,7 @@ def measure_povm_carrier(joint: Ket4, povm: PovmSet, rng):
     """
     mat = np.array([[joint.c[0], joint.c[1]], [joint.c[2], joint.c[3]]])
     probs = tuple(float(np.trace(mat.conj().T @ el @ mat).real) for el in povm.elements())
-    if abs(sum(probs) - 1.0) > OPERATOR_TOL:
+    if not abs(sum(probs) - 1.0) <= OPERATOR_TOL:
         raise NotHermitian(f"POVM probabilities sum to {sum(probs)!r}")
     _, probe = product_factors(joint)
     outcome = PovmOutcome(rng.pick_weighted(probs))
@@ -408,7 +355,7 @@ def measure_povm_carrier(joint: Ket4, povm: PovmSet, rng):
 def _require_hermitian(mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     defect = _hermiticity_defect(mat)
-    if defect > OPERATOR_TOL:
+    if not defect <= OPERATOR_TOL:
         raise NotHermitian(f"matrix deviates from self-adjointness by {defect:.3e}")
     return mat
 

@@ -6,6 +6,7 @@ import pytest
 
 from qkdsim import (
     Ket2,
+    Ket4,
     NoiseModel,
     PublicTranscript,
     Pulse,
@@ -25,7 +26,6 @@ from qkdsim import (
     run_session,
     session_transcript,
     states_equal,
-    tensor,
     transmit,
     vh_alphabet,
 )
@@ -45,7 +45,7 @@ def test_pulse_invariants():
     with pytest.raises(ValueError):
         Pulse(0, 0, VERTICAL)
     with pytest.raises(ValueError):
-        Pulse(0, 2, tensor(VERTICAL, VERTICAL))
+        Pulse(0, 2, Ket4(1, 0, 0, 0))
 
 
 def test_emit_single_photon_when_multi_zero():

@@ -131,6 +131,15 @@ def test_validate_rejects_carriers_of_wrong_norm():
         validate_interaction(bad)
 
 
+def test_validate_rejects_nan_amplitude():
+    ok = entangling_swap_attack(THETA)
+    bad = EntanglingEve(
+        THETA, math.nan, ok.b, ok.out_plus, ok.out_minus, ok.probe_plus, ok.probe_minus
+    )
+    with pytest.raises(NotUnitary):
+        validate_interaction(bad)
+
+
 def test_translucent_strategies_refuse_bb84():
     # The session config and the tap share one rule: a coupling needs the B92 code states.
     for strategy in (translucent_swap_attack(THETA), entangling_swap_attack(THETA)):
