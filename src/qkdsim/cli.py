@@ -130,7 +130,7 @@ def _session_values(args) -> dict:
     return values
 
 
-def _make_config(values: dict, seed=None) -> SessionConfig:
+def _make_config(values: dict) -> SessionConfig:
     build_eve = _EVES.get(values["eve"])
     if build_eve is None:
         raise ValueError(f"unknown eve {values['eve']!r}; choose from {', '.join(_EVES)}")
@@ -143,7 +143,7 @@ def _make_config(values: dict, seed=None) -> SessionConfig:
         sample_fraction=values["sample_frac"],
         r_max=values["rmax"],
         sec_param=values["sec_param"],
-        seed=values["seed"] if seed is None else seed,
+        seed=values["seed"],
     )
 
 
@@ -231,8 +231,8 @@ def _cmd_sweep(args) -> int:
         rates, usable, final_lens, aborted = [], [], [], 0
         for j in range(args.repeats):
             # Run seeds are derived as base seed + flat run index.
-            cfg = _make_config(point, seed=base_seed + i * args.repeats + j)
-            report = run_session(cfg)
+            point["seed"] = base_seed + i * args.repeats + j
+            report = run_session(_make_config(point))
             if report.error_rate is not None:
                 rates.append(report.error_rate)
             usable.append(report.sifted_count / report.n_pulses)

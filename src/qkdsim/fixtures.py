@@ -53,7 +53,6 @@ def _csv(values) -> str:
 def _fig6(tapped: bool) -> FixtureOutcome:
     """Sift the recorded exchange: quiet (fig6a) or with Eve in the middle (fig6b)."""
     record = Stage1Record(
-        "bb84",
         list(_ALICE_BITS),
         [True] * 10,
         list(_BOB_BITS_TAPPED if tapped else _BOB_BITS_QUIET),

@@ -5,8 +5,12 @@ included).  One :class:`~qkdsim.rng.Rng` drives everything in a fixed
 per-slot draw order -- sender bit, sender alphabet (BB84 only), source
 multi-photon draw, tap draws, flip draw, loss draw, receiver alphabet
 and measurement (delivered pulses only) -- followed by the estimation
-sample, reconciliation and amplification draws.  The noise-free mode is
-the same engine with all noise probabilities at zero.
+sample, reconciliation and amplification draws.  Eve's guess is taken
+right after sifting from her own stream, seeded from the transcript's
+sifting announcements, so it consumes no session draw.  The noise-free
+mode is the same engine with all noise probabilities at zero.  A protocol
+failure is an exception that :func:`run_session` turns into an aborted
+report in one place.
 
 Transcript message kinds (sender, tag):
 
@@ -78,7 +82,6 @@ class SessionConfig:
 class Stage1Record:
     """Per-slot outcome of the quantum stage (parallel lists, one entry per slot)."""
 
-    protocol: str
     alice_bits: list
     received: list
     bob_bits: list  # None where not received / inconclusive
@@ -152,14 +155,7 @@ def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
         bit_out, _ = measure_projective(delivered.state, alphabets[b_alpha].basis, rng)
         bob_bits.append(bit_out)
         received.append(True)
-    return Stage1Record(
-        "bb84",
-        alice_bits,
-        received,
-        bob_bits,
-        alice_alphabets=alice_alphas,
-        bob_alphabets=bob_alphas,
-    )
+    return Stage1Record(alice_bits, received, bob_bits, alice_alphabets=alice_alphas, bob_alphabets=bob_alphas)
 
 
 def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
@@ -184,7 +180,7 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
             bob_bits.append(None)
         else:
             bob_bits.append(int(outcome))
-    return Stage1Record("b92", alice_bits, received, bob_bits)
+    return Stage1Record(alice_bits, received, bob_bits)
 
 
 def sift_bb84(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
@@ -276,63 +272,53 @@ def run_session(cfg: SessionConfig) -> RunReport:
     Aborts (threshold exceeded, empty sift, failed reconciliation,
     exhausted key, final keys that differ) produce a report with
     ``aborted=True`` and a reason; they are protocol outcomes, not errors.
+    Each failure exception becomes its reason in one place, the ``except``
+    clauses below.  Eve's guess is taken right after sifting, from her own
+    transcript-seeded stream: it consumes no session draw.
     """
     started = time.perf_counter()
     rng = Rng(cfg.seed)
     transcript = PublicTranscript()
     tap = make_tap(cfg, rng)
     report = RunReport(cfg.protocol, cfg.n_pulses, cfg.seed, transcript=transcript)
-
-    def finish(abort_reason=None):
-        if abort_reason is not None:
-            report.aborted = True
-            report.abort_reason = abort_reason
-        report.timings = {"total_seconds": time.perf_counter() - started}
-        return report
-
-    if cfg.protocol == "bb84":
-        record = run_stage1_bb84(cfg, rng, tap)
-    else:
-        record = run_stage1_b92(cfg, rng, tap)
-
+    abort_reason = None
     try:
-        sift = sift_bb84(record, transcript) if cfg.protocol == "bb84" else sift_b92(record, transcript)
-    except EmptySiftedKey:
-        return finish("empty_sifted_key")
-
-    report.sifted_count = len(sift.slots)
-    report.disclosed_count = math.ceil(cfg.sample_fraction * report.sifted_count)
-    try:
+        if cfg.protocol == "bb84":
+            sift = sift_bb84(run_stage1_bb84(cfg, rng, tap), transcript)
+        else:
+            sift = sift_b92(run_stage1_b92(cfg, rng, tap), transcript)
+        report.sifted_count = len(sift.slots)
+        report.disclosed_count = math.ceil(cfg.sample_fraction * report.sifted_count)
+        report.eve_guess_accuracy = _eve_accuracy(tap, transcript, sift)
         rate, tent_a, tent_b = estimate_error(
             sift.raw_alice, sift.raw_bob, cfg.sample_fraction, rng, transcript, r_max=cfg.r_max
         )
-    except RestartRequired as abort:
-        rate, tent_a = abort.rate, None
-    report.error_rate = rate
-    report.eve_guess_accuracy = _eve_accuracy(tap, transcript, sift)
-    if tent_a is None:
-        return finish("error_rate_exceeds_threshold")
-
-    try:
+        report.error_rate = rate
         rec_a, rec_b, _ = reconcile(tent_a, tent_b, rate, rng, transcript)
+        report.reconciled_length = len(rec_a)
+        report.leaked_bits = leaked_bits_bound(rate, len(rec_a))
+        final_a, subsets = privacy_amplify(rec_a, report.leaked_bits, cfg.sec_param, rng, transcript)
+        final_b = apply_subsets(rec_b, subsets)
+        if final_a != final_b:
+            abort_reason = "key_mismatch"
+        else:
+            report.final_key_length = len(final_a)
+            report.final_key_alice = bits_to_string(final_a)
+            report.final_key_bob = bits_to_string(final_b)
+            report.eve_final_key_info_estimate = 2.0 ** (-cfg.sec_param) / math.log(2.0)
+    except EmptySiftedKey:
+        abort_reason = "empty_sifted_key"
+    except RestartRequired as abort:
+        report.error_rate = abort.rate
+        abort_reason = "error_rate_exceeds_threshold"
     except ReconciliationFailed:
-        return finish("reconciliation_failed")
-    report.reconciled_length = len(rec_a)
-    k = leaked_bits_bound(rate, len(rec_a))
-    report.leaked_bits = k
-    try:
-        final_a, subsets = privacy_amplify(rec_a, k, cfg.sec_param, rng, transcript)
+        abort_reason = "reconciliation_failed"
     except KeyExhausted:
-        return finish("key_exhausted")
-    final_b = apply_subsets(rec_b, subsets)
-    if final_a != final_b:
-        return finish("key_mismatch")
-
-    report.final_key_length = len(final_a)
-    report.final_key_alice = bits_to_string(final_a)
-    report.final_key_bob = bits_to_string(final_b)
-    report.eve_final_key_info_estimate = 2.0 ** (-cfg.sec_param) / math.log(2.0)
-    return finish()
+        abort_reason = "key_exhausted"
+    report.aborted = abort_reason is not None
+    report.abort_reason = abort_reason
+    report.timings = {"total_seconds": time.perf_counter() - started}
+    return report
 
 
 def session_transcript(report: RunReport):

@@ -140,12 +140,17 @@ def rotation(phi: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+# A non-finite entry is an infinite defect, caught before arithmetic that would warn.
 def _unitarity_defect(mat: np.ndarray) -> float:
+    if not np.isfinite(mat).all():
+        return math.inf
     eye = np.eye(mat.shape[0])
     return float(np.max(np.abs(mat.conj().T @ mat - eye)))
 
 
 def _hermiticity_defect(mat: np.ndarray) -> float:
+    if not np.isfinite(mat).all():
+        return math.inf
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 

@@ -120,6 +120,10 @@ class TestReconcile:
         rec_a, rec_b, _ = reconcile(key_a, key_b, 0.1, Rng(104), PublicTranscript())
         assert len(rec_a) == len(rec_b)
 
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValueError, match="equal length"):
+            reconcile([0, 1, 1], [0, 1], 0.1, Rng(105), PublicTranscript())
+
 
 class TestLeakedBitsBound:
     def test_zero_rate(self):

@@ -101,8 +101,27 @@ def test_opaque_error_scales_linearly():
         assert abs(rate - expected) < 3 * sigma + 1e-9
 
 
+@pytest.mark.parametrize("fraction", [-0.1, 1.5, math.nan])
+def test_opaque_fraction_out_of_range(fraction):
+    with pytest.raises(ValueError, match="fraction must lie in"):
+        OpaqueEve(fraction)
+
+
+def test_record_refuses_a_slot_twice():
+    record = EveRecord(OpaqueEve(), "bb84", None)
+    record.add(3, ("+", 1))
+    with pytest.raises(ValueError, match="slot 3 already recorded"):
+        record.add(3, ("x", 0))
+    assert record.entries == {3: ("+", 1)}
+
+
 def test_validate_identity_interaction():
     validate_interaction(identity_translucent(THETA))
+
+
+def test_validate_rejects_non_translucent_strategy():
+    with pytest.raises(TypeError, match="not a translucent strategy: OpaqueEve"):
+        validate_interaction(OpaqueEve())
 
 
 def test_validate_rejects_product_form_with_orthogonal_probes():

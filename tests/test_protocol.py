@@ -40,7 +40,6 @@ BOB_BITS_TAPPED = [1, 0, 1, 1, 1, 1, 1, 0, 0, 0]
 
 def _recorded_stage1(bob_bits):
     return Stage1Record(
-        "bb84",
         list(ALICE_BITS),
         [True] * 10,
         list(bob_bits),
@@ -104,7 +103,6 @@ class TestSiftBb84:
 
     def test_empty_sift(self):
         record = Stage1Record(
-            "bb84",
             [0, 1],
             [True, True],
             [0, 1],
@@ -116,7 +114,6 @@ class TestSiftBb84:
 
     def test_lost_slots_are_dropped(self):
         record = Stage1Record(
-            "bb84",
             [0, 1, 1],
             [True, False, True],
             [0, None, 1],
@@ -183,7 +180,7 @@ class TestSiftB92:
 
     def test_all_inconclusive_raises(self):
         # Both slots received, both inconclusive.
-        record = Stage1Record("b92", [0, 1], [True, True], [None, None])
+        record = Stage1Record([0, 1], [True, True], [None, None])
         with pytest.raises(EmptySiftedKey):
             sift_b92(record, PublicTranscript())
 
@@ -244,6 +241,10 @@ class TestEstimateError:
         with pytest.raises(RestartRequired) as exc:
             estimate_error([0] * 50, [1] * 50, 0.2, Rng(132), PublicTranscript(), r_max=0.12)
         assert exc.value.rate == 1.0
+
+    def test_empty_keys_refused(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            estimate_error([], [], 0.1, Rng(134), PublicTranscript(), r_max=1.0)
 
     def test_disclosure_is_posted(self):
         t = PublicTranscript()
@@ -343,3 +344,17 @@ class TestRunSession:
             )
         with pytest.raises(ValueError):
             SessionConfig("b92", 100, theta=0.3, eve=translucent_swap_attack(math.pi / 8))
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"sample_fraction": 0.0}, "sample_fraction"),
+            ({"sample_fraction": 1.0}, "sample_fraction"),
+            ({"r_max": -0.01}, "r_max"),
+            ({"r_max": 1.5}, "r_max"),
+            ({"sec_param": -1}, "sec_param"),
+        ],
+    )
+    def test_config_ranges(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            SessionConfig("bb84", 100, **setting)

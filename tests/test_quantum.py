@@ -133,6 +133,11 @@ class TestApplyUnitary:
         with pytest.raises(NotUnitary):
             apply_unitary(rotation(math.nan), VERTICAL)
 
+    def test_infinite_matrix_rejected_without_warning(self):
+        # inf - inf would be NaN with a RuntimeWarning; the check must not get that far.
+        with pytest.raises(NotUnitary, match="by inf"):
+            apply_unitary(np.array([[math.inf, 0], [0, 1]]), VERTICAL)
+
 
 class TestMeasureProjective:
     def test_eigenstate_is_certain(self):
@@ -320,6 +325,12 @@ class TestExpectation:
     def test_nan_observable_rejected(self):
         with pytest.raises(NotHermitian):
             expectation(np.diag([1.0, math.nan]), VERTICAL)
+
+    def test_infinite_observable_rejected_without_warning(self):
+        with pytest.raises(NotHermitian, match="by inf"):
+            expectation(np.diag([math.inf, 1.0]), VERTICAL)
+        with pytest.raises(NotHermitian, match="by inf"):
+            uncertainty_product(np.diag([math.inf, 1.0]), np.eye(2), VERTICAL)
 
     def test_within_eigenvalue_bracket(self):
         # Oracle: eigenvalues from the 2x2 characteristic polynomial.

@@ -143,6 +143,25 @@ class TestRunCommand:
         assert out == ""
         assert "unknown eve 'opaqe'; choose from none, opaque, translucent, entangle, pns" in err
 
+    @pytest.mark.parametrize(
+        "text, code, message",
+        [
+            ("n = 300\nbogus = 1\n", 2, ":2: unknown key 'bogus'"),
+            ("n = 300\nprotocol b92\n", 2, ":2: expected 'key = value'"),
+            (None, 1, "No such file"),
+        ],
+        ids=["unknown-key", "no-equals", "missing-file"],
+    )
+    def test_config_file_errors(self, capsys, tmp_path, text, code, message):
+        cfg_file = tmp_path / "session.cfg"
+        if text is not None:
+            cfg_file.write_text(text)
+        got, out, err = run_cli(capsys, ["run", "--config", str(cfg_file)])
+        assert got == code
+        assert out == ""
+        assert message in err
+        assert str(cfg_file) in err
+
     def test_config_file_sets_every_key(self, capsys, tmp_path):
         # Every run flag's spelling is a config key, parsed with its default's type.
         settings = {
@@ -352,6 +371,14 @@ class TestSweepCommand:
             theta = float(row[0])
             conclusive = float(row[2])
             assert abs(conclusive - (1 - math.cos(2 * theta))) < 0.02
+
+    @pytest.mark.parametrize("flag", ["--steps", "--repeats"])
+    def test_non_positive_count_is_usage_error(self, capsys, flag):
+        argv = ["sweep", "--n", "100", "--vary", "flip", "--from", "0", "--to", "0.1", "--steps", "2"]
+        code, out, err = run_cli(capsys, [*argv, flag, "0"])
+        assert code == 2
+        assert out == ""
+        assert f"{flag} must be at least 1" in err
 
     def test_single_step_single_row(self, capsys):
         code, out, _ = run_cli(

@@ -6,6 +6,11 @@ from hypothesis import strategies as st
 from qkdsim import Rng
 
 
+def test_pick_weighted_all_zero_weights_lands_in_last_bucket():
+    # No bucket catches the draw, so the last one absorbs it.
+    assert Rng(0).pick_weighted([0.0, 0.0]) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
