@@ -7,9 +7,9 @@ errors, 3 for a refused key reuse.
 """
 
 import argparse
+import dataclasses
 import datetime
 import hashlib
-import math
 import sys
 
 from .channel import NoiseModel
@@ -20,19 +20,20 @@ from .otp import xor_bytes
 from .protocol import SessionConfig, run_session, session_transcript
 from .report import build_document, render_json, summary_lines
 
+# Only protocol, n and eve are the command line's own; the rest are the dataclasses' defaults.
 _RUN_DEFAULTS = {
     "protocol": "bb84",
     "n": 10000,
-    "seed": 0,
-    "flip": 0.0,
-    "loss": 0.0,
-    "multi": 0.0,
-    "theta": math.pi / 8,
+    "seed": SessionConfig.seed,
+    "flip": NoiseModel.flip_p,
+    "loss": NoiseModel.loss_p,
+    "multi": NoiseModel.multi_p,
+    "theta": SessionConfig.theta,
     "eve": "none",
-    "eve_frac": 1.0,
-    "sample_frac": 0.1,
-    "rmax": 0.12,
-    "sec_param": 10,
+    "eve_frac": OpaqueEve.fraction,
+    "sample_frac": SessionConfig.sample_fraction,
+    "rmax": SessionConfig.r_max,
+    "sec_param": SessionConfig.sec_param,
 }
 
 # Config-file keys are the flag spellings; each default's type parses its value.
@@ -221,18 +222,18 @@ def _cmd_sweep(args) -> int:
         print("error: --repeats must be at least 1", file=sys.stderr)
         return 2
     values = _session_values(args)
-    base_seed = values["seed"]
     span = args.sweep_to - args.sweep_from
-    print("param,mean_error_rate,mean_conclusive_rate,mean_final_len,aborted_frac")
+    # Every grid point's config is built, and so checked, before the first row is printed.
+    points = []
     for i in range(args.steps):
         param = args.sweep_from if args.steps == 1 else args.sweep_from + span * i / (args.steps - 1)
-        point = dict(values)
-        point[args.vary.replace("-", "_")] = param
+        points.append((param, _make_config({**values, args.vary.replace("-", "_"): param})))
+    print("param,mean_error_rate,mean_conclusive_rate,mean_final_len,aborted_frac")
+    for i, (param, cfg) in enumerate(points):
         rates, usable, final_lens, aborted = [], [], [], 0
         for j in range(args.repeats):
             # Run seeds are derived as base seed + flat run index.
-            point["seed"] = base_seed + i * args.repeats + j
-            report = run_session(_make_config(point))
+            report = run_session(dataclasses.replace(cfg, seed=cfg.seed + i * args.repeats + j))
             if report.error_rate is not None:
                 rates.append(report.error_rate)
             usable.append(report.sifted_count / report.n_pulses)

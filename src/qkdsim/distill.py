@@ -10,7 +10,8 @@ bits that remain.  A disagreeing parity triggers a bisective search:
 both halves are compared (and docked a bit each) and the search follows
 the disagreeing half until the erroneous bit is located and deleted.
 After ``MAX_PASSES`` passes, random-subset parity checks with the same
-bisective repair run until ``N_CLEAN`` consecutive checks agree.
+bisective repair run until ``N_CLEAN`` consecutive checks agree.  Each
+check discards a live bit, so this phase ends before the key runs out.
 
 Privacy amplification then maps the reconciled key of length ``n`` to
 ``n - k - s`` bits, where ``k`` bounds what an eavesdropper may know and
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import KeyExhausted, ReconciliationFailed
+from .errors import KeyExhausted
 
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
@@ -107,12 +108,26 @@ class _Reconciler:
         elif right_bad:
             self.bisect(right[:-1], depth + 1)
 
+    def check(self, positions) -> bool:
+        """Compare parities over ``positions``; on a disagreement, bisect out one error.
+
+        Returns True when the parities disagreed.
+        """
+        if not self.compare(positions):
+            return False
+        self.bisect(positions[:-1])
+        self.acct.bisections += 1
+        return True
+
 
 def reconcile(key_a, key_b, rate, rng, transcript):
     """Remove the errors between two equal-length keys via public parities.
 
     Runs ``MAX_PASSES`` block passes, then random-subset checks until
-    ``N_CLEAN`` consecutive ones agree.
+    ``N_CLEAN`` consecutive ones agree.  Both phases check a unit with
+    the same step: compare its parities and, if they disagree, bisect
+    out one error.  Every check discards a live bit, so the subset phase
+    ends within ``len(key_a)`` checks.
 
     Parameters
     ----------
@@ -129,12 +144,6 @@ def reconcile(key_a, key_b, rate, rng, transcript):
     -------
     (rec_a, rec_b, accounting)
         Equal-length output keys and the exchange bookkeeping.
-
-    Raises
-    ------
-    ReconciliationFailed
-        If the subset phase exhausts its safety budget without reaching
-        ``N_CLEAN`` consecutive clean checks.
     """
     if len(key_a) != len(key_b):
         raise ValueError("keys must have equal length")
@@ -150,30 +159,16 @@ def reconcile(key_a, key_b, rate, rng, transcript):
         transcript.post("alice", "perm", ",".join(map(str, perm)))
         order = [positions[j] for j in perm]
         for start in range(0, len(order), length):
-            block = order[start : start + length]
-            if state.compare(block):
-                state.bisect(block[:-1])
-                acct.bisections += 1
+            state.check(order[start : start + length])
 
     clean = 0
-    budget = 50 * N_CLEAN + 2 * len(key_a) + 100
-    checks = 0
     while clean < N_CLEAN:
         positions = state.alive_positions()
         if not positions:
             break
-        checks += 1
-        if checks > budget:
-            raise ReconciliationFailed(f"subset phase did not converge within {budget} checks")
         rel = rng.nonempty_subset(len(positions))
-        subset = [positions[j] for j in rel]
         transcript.post("bob", "subset", ",".join(map(str, rel)))
-        if state.compare(subset):
-            clean = 0
-            state.bisect(subset[:-1])
-            acct.bisections += 1
-        else:
-            clean += 1
+        clean = 0 if state.check([positions[j] for j in rel]) else clean + 1
 
     rec_a = [state.key_a[i] for i, ok in enumerate(state.alive) if ok]
     rec_b = [state.key_b[i] for i, ok in enumerate(state.alive) if ok]

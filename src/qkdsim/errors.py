@@ -49,10 +49,6 @@ class RestartRequired(QkdError):
         self.rate = rate
 
 
-class ReconciliationFailed(QkdError):
-    """The parity-exchange budget was exhausted without converging."""
-
-
 class KeyExhausted(QkdError):
     """Privacy amplification would produce an empty key (n - k - s < 1)."""
 

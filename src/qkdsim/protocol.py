@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import NoiseModel, PublicTranscript, emit_pulse, transmit
 from .distill import apply_subsets, leaked_bits_bound, privacy_amplify, reconcile
-from .errors import EmptySiftedKey, KeyExhausted, ReconciliationFailed, RestartRequired
+from .errors import EmptySiftedKey, KeyExhausted, RestartRequired
 from .eve import EveTap, NoEve, eve_guess, is_translucent
 from .otp import bits_to_string
 from .quantum import PovmOutcome, build_povm, measure_povm, measure_projective
@@ -65,6 +65,8 @@ class SessionConfig:
             raise ValueError("n_pulses must be at least 1")
         if not math.isfinite(self.theta):
             raise ValueError(f"theta must be finite, got {self.theta!r}")
+        if self.protocol == "b92":
+            b92_alphabet(self.theta)  # ThetaOutOfRange outside (0, pi/4)
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must lie in (0, 1)")
         if not 0.0 <= self.r_max <= 1.0:
@@ -269,12 +271,13 @@ def _eve_accuracy(tap, transcript, sift: SiftResult):
 def run_session(cfg: SessionConfig) -> RunReport:
     """Execute a full session: stage 1, sifting, estimation, distillation.
 
-    Aborts (threshold exceeded, empty sift, failed reconciliation,
-    exhausted key, final keys that differ) produce a report with
-    ``aborted=True`` and a reason; they are protocol outcomes, not errors.
-    Each failure exception becomes its reason in one place, the ``except``
-    clauses below.  Eve's guess is taken right after sifting, from her own
-    transcript-seeded stream: it consumes no session draw.
+    Aborts (threshold exceeded, empty sift, exhausted key, final keys
+    that differ) produce a report with ``aborted=True`` and a reason; they
+    are protocol outcomes, not errors.  Each failure exception becomes its
+    reason in one place, the ``except`` clauses below.  Reconciliation
+    always ends, so it has no abort of its own.  Eve's guess is taken
+    right after sifting, from her own transcript-seeded stream: it
+    consumes no session draw.
     """
     started = time.perf_counter()
     rng = Rng(cfg.seed)
@@ -311,8 +314,6 @@ def run_session(cfg: SessionConfig) -> RunReport:
     except RestartRequired as abort:
         report.error_rate = abort.rate
         abort_reason = "error_rate_exceeds_threshold"
-    except ReconciliationFailed:
-        abort_reason = "reconciliation_failed"
     except KeyExhausted:
         abort_reason = "key_exhausted"
     report.aborted = abort_reason is not None

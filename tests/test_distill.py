@@ -55,6 +55,20 @@ def _amplification_case(draw):
     return key, other, k, s
 
 
+@st.composite
+def _key_pair(draw):
+    key_a = draw(st.lists(st.integers(0, 1), max_size=300))
+    kind = draw(st.sampled_from(["identical", "complemented", "flipped"]))
+    if kind == "identical":
+        key_b = list(key_a)
+    elif kind == "complemented":
+        key_b = [b ^ 1 for b in key_a]
+    else:
+        flips = draw(st.lists(st.booleans(), min_size=len(key_a), max_size=len(key_a)))
+        key_b = [b ^ f for b, f in zip(key_a, flips)]
+    return key_a, key_b
+
+
 class TestBlockLength:
     def test_small_rate(self):
         assert default_block_policy(0.01, 10_000) == 73
@@ -123,6 +137,23 @@ class TestReconcile:
     def test_unequal_lengths_refused(self):
         with pytest.raises(ValueError, match="equal length"):
             reconcile([0, 1, 1], [0, 1], 0.1, Rng(105), PublicTranscript())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    keys=_key_pair(),
+    rate=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_reconcile_ends_within_one_check_per_bit(keys, rate, seed):
+    # Every check discards one live bit, so the subset phase cannot
+    # outlast the key, whatever the keys disagree on.
+    key_a, key_b = keys
+    t = PublicTranscript()
+    rec_a, rec_b, acct = reconcile(key_a, key_b, rate, Rng(seed), t)
+    assert len(rec_a) == len(rec_b)
+    assert sum(1 for m in t.read_all() if m.tag == "subset") <= len(key_a)
+    assert len(key_a) - len(rec_a) == acct.parity_bits_disclosed == acct.bits_discarded
 
 
 class TestLeakedBitsBound:

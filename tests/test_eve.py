@@ -362,6 +362,13 @@ def test_eve_guess_empty_without_entries():
     assert eve_guess(record, transcript) == {}
 
 
+def test_eve_guess_empty_without_sifting_announcement():
+    # Eve holds an outcome, but no sifted slot has been announced yet.
+    record = EveRecord(OpaqueEve(1.0), "bb84", None)
+    record.add(0, ("+", 1))
+    assert eve_guess(record, PublicTranscript()) == {}
+
+
 def test_eve_guess_reproducible_from_record_and_transcript():
     cfg = SessionConfig("b92", 20_000, eve=translucent_swap_attack(THETA), seed=94, r_max=1.0)
     report = run_session(cfg)

@@ -3,10 +3,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim import (
+    NoEve,
     NoiseModel,
     OpaqueEve,
+    PhotonSplitEve,
     PublicTranscript,
     Rng,
     SessionConfig,
@@ -25,8 +29,7 @@ from qkdsim import (
     sift_bb84,
     translucent_swap_attack,
 )
-from qkdsim import protocol
-from qkdsim.errors import EmptySiftedKey, ReconciliationFailed, RestartRequired
+from qkdsim.errors import EmptySiftedKey, RestartRequired, ThetaOutOfRange
 from qkdsim.protocol import make_tap
 from util import binomial_sigma
 
@@ -291,18 +294,6 @@ class TestRunSession:
                 assert report.error_rate == 0.0
                 assert report.final_key_alice == report.final_key_bob
 
-    def test_reconciliation_failure_is_an_abort(self, monkeypatch):
-        def fail(*_args):
-            raise ReconciliationFailed("subset phase did not converge")
-
-        monkeypatch.setattr(protocol, "reconcile", fail)
-        report = run_session(SessionConfig("bb84", 2_000, noise=NoiseModel(flip_p=0.02), seed=138))
-        assert report.aborted
-        assert report.abort_reason == "reconciliation_failed"
-        assert report.error_rate is not None
-        assert report.reconciled_length is None
-        assert report.final_key_length == 0
-
     @pytest.mark.parametrize("seed", [178, 242])
     def test_differing_final_keys_are_an_abort(self, seed):
         # The error sample underestimates a 6% flip rate, reconciliation
@@ -358,3 +349,35 @@ class TestRunSession:
     def test_config_ranges(self, setting, message):
         with pytest.raises(ValueError, match=message):
             SessionConfig("bb84", 100, **setting)
+
+    @pytest.mark.parametrize("theta", [0.0, -0.1, math.pi / 4, 1.0])
+    def test_b92_theta_out_of_range(self, theta):
+        # Refused when the config is built; BB84 does not use theta.
+        with pytest.raises(ThetaOutOfRange):
+            SessionConfig("b92", 10, theta=theta)
+        SessionConfig("bb84", 10, theta=theta)
+
+
+ABORT_REASONS = ("empty_sifted_key", "error_rate_exceeds_threshold", "key_exhausted", "key_mismatch")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    protocol=st.sampled_from(["bb84", "b92"]),
+    eve=st.one_of(st.just(NoEve()), st.builds(OpaqueEve, st.floats(0.0, 1.0)), st.just(PhotonSplitEve())),
+    flip=st.floats(0.0, 1.0),
+    loss=st.floats(0.0, 1.0),
+    multi=st.floats(0.0, 1.0),
+    r_max=st.floats(0.0, 1.0),
+    n_pulses=st.integers(1, 600),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_session_ends_in_a_shared_key_or_a_known_abort(protocol, eve, flip, loss, multi, r_max, n_pulses, seed):
+    noise = NoiseModel(flip_p=flip, loss_p=loss, multi_p=multi)
+    report = run_session(SessionConfig(protocol, n_pulses, noise=noise, eve=eve, r_max=r_max, seed=seed))
+    if report.aborted:
+        assert report.abort_reason in ABORT_REASONS
+    else:
+        assert report.abort_reason is None
+        assert report.final_key_alice == report.final_key_bob
+        assert report.final_key_length == len(report.final_key_alice) > 0

@@ -380,6 +380,21 @@ class TestSweepCommand:
         assert out == ""
         assert f"{flag} must be at least 1" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--protocol", "b92", "--vary", "theta", "--from", "0.3", "--to", "0.9"], "theta must lie in (0, pi/4)"),
+            (["--protocol", "bb84", "--vary", "flip", "--from", "0", "--to", "1.5"], "flip_p must lie in [0, 1]"),
+        ],
+        ids=["b92-theta", "bb84-flip"],
+    )
+    def test_invalid_last_point_is_usage_error(self, capsys, argv, message):
+        # Every grid point is checked before the header, so no partial CSV is printed.
+        code, out, err = run_cli(capsys, ["sweep", "--n", "300", "--steps", "3", *argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
     def test_single_step_single_row(self, capsys):
         code, out, _ = run_cli(
             capsys,
