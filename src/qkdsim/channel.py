@@ -13,11 +13,20 @@ and channel loss are folded into a single per-pulse loss probability,
 because the protocols treat all non-receptions identically.
 
 The classical side is :class:`PublicTranscript`, an append-only message
-log that every party -- including the eavesdropper -- can read.
+log that every party -- including the eavesdropper -- can read.  It
+hashes each message's serialized line as the message is posted, so its
+digest costs nothing at the end of a session.  A run of messages posted
+together, such as privacy amplification's subsets, is kept as the
+function that renders their payloads and is rendered again only when
+the messages are read.
 """
 
+import binascii
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass
+
+import numpy as np
 
 from .quantum import Ket2
 
@@ -62,38 +71,94 @@ class Message:
         return f"{self.sender}\t{self.tag}\t{self.payload.encode('utf-8').hex()}\n"
 
 
+@dataclass(frozen=True)
+class _Lines:
+    """Messages from one sender under one tag whose payloads are the lines of ``render()``."""
+
+    sender: str
+    tag: str
+    render: Callable[[], bytes]
+
+    def messages(self):
+        payloads = self.render().decode("ascii").split("\n")
+        return [Message(self.sender, self.tag, payload) for payload in payloads[:-1]]
+
+
 class PublicTranscript:
-    """Append-only log of every classical message, readable by anyone."""
+    """Append-only log of every classical message, readable by anyone.
+
+    An entry is one :class:`Message`, or a run of messages posted by
+    :meth:`post_lines` that keeps only the function rendering their
+    payloads.  A running SHA-256 takes each message's serialized line
+    when it is posted, so :meth:`digest` renders nothing.
+    """
 
     def __init__(self):
-        self._messages = []
+        self._entries = []
+        self._count = 0
+        self._sha = hashlib.sha256()
 
     def post(self, sender: str, tag: str, payload: str) -> None:
-        self._messages.append(Message(sender, tag, payload))
+        msg = Message(sender, tag, payload)
+        self._entries.append(msg)
+        self._count += 1
+        self._sha.update(msg.line().encode("utf-8"))
+
+    def post_lines(self, sender: str, tag: str, render: Callable[[], bytes]) -> None:
+        """Post one message for each line of ``render()``, the line its payload.
+
+        ``render()`` returns ASCII text in which every line, the last
+        included, ends in a newline.  It is called here to hash the
+        lines and again each time the messages are read.
+        """
+        text = render()
+        ends = (2 * np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))).tolist()
+        if not ends:
+            return
+        self._entries.append(_Lines(sender, tag, render))
+        self._count += len(ends)
+        # A payload's hex is its stretch of the text's hex, which skips the newline's "0a".
+        hexed = memoryview(binascii.hexlify(text))
+        head = f"{sender}\t{tag}\t".encode("utf-8")
+        start = 0
+        for end in ends:
+            self._sha.update(head)
+            self._sha.update(hexed[start:end])
+            self._sha.update(b"\n")
+            start = end + 2
+
+    def __iter__(self):
+        """Every message in posting order, one entry rendered at a time."""
+        for entry in self._entries:
+            if isinstance(entry, Message):
+                yield entry
+            else:
+                yield from entry.messages()
 
     def read_all(self):
-        return list(self._messages)
+        return list(self)
 
     def find(self, sender: str, tag: str):
         """First message matching (sender, tag), or None."""
-        for msg in self._messages:
-            if msg.sender == sender and msg.tag == tag:
-                return msg
+        for entry in self._entries:
+            if entry.sender == sender and entry.tag == tag:
+                return entry if isinstance(entry, Message) else entry.messages()[0]
         return None
 
     def serialize(self) -> str:
         """One line per message: ``sender TAB tag TAB payload-hex``, UTF-8."""
-        return "".join(msg.line() for msg in self._messages)
+        return "".join(msg.line() for msg in self)
 
     def digest(self) -> str:
-        """SHA-256 hex digest of the serialized transcript, hashed line by line."""
-        sha = hashlib.sha256()
-        for msg in self._messages:
-            sha.update(msg.line().encode("utf-8"))
-        return sha.hexdigest()
+        """SHA-256 hex digest of :meth:`serialize`'s UTF-8 bytes.
+
+        Every line was hashed when its message was posted; this reads a
+        copy of the running hash.
+        """
+        return self._sha.copy().hexdigest()
 
     def __len__(self):
-        return len(self._messages)
+        return self._count
 
 
 def emit_pulse(slot: int, state: Ket2, noise: NoiseModel, rng) -> Pulse:

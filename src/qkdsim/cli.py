@@ -153,7 +153,7 @@ def _cmd_run(args) -> int:
     report = run_session(cfg)
     if args.dump_transcript:
         with open(args.dump_transcript, "w", encoding="utf-8") as handle:
-            handle.writelines(msg.line() for msg in session_transcript(report).read_all())
+            handle.writelines(msg.line() for msg in session_transcript(report))
     if args.summary:
         for line in summary_lines(report, cfg):
             print(line)
@@ -222,6 +222,11 @@ def _cmd_sweep(args) -> int:
         print("error: --repeats must be at least 1", file=sys.stderr)
         return 2
     values = _session_values(args)
+    # A swept value that the session never reads would give rows that differ only by seed.
+    if args.vary == "theta" and values["protocol"] != "b92":
+        raise ValueError("--vary theta needs --protocol b92: bb84 never reads theta")
+    if args.vary == "eve-frac" and values["eve"] != "opaque":
+        raise ValueError("--vary eve-frac needs --eve opaque: only the opaque attack reads eve-frac")
     span = args.sweep_to - args.sweep_from
     # Every grid point's config is built, and so checked, before the first row is printed.
     points = []

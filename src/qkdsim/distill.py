@@ -22,11 +22,14 @@ time from :meth:`Rng.uniforms`; an empty row is dropped and the next
 row takes its place, which is the draw-and-reject rule of
 :meth:`Rng.nonempty_subset` draw for draw.  A chunk's accepted rows
 become one packed ``int32`` array of column indices, and each subset is
-an ``int32`` view of its stretch of that array.  The chunk's decimal
-labels are gathered into one text of one line per row, and each
-``pa-subset`` payload is one of those lines.
+an ``int32`` view of its stretch of that array.  The chunk is posted as
+one transcript entry that keeps only that array, its row ends and the
+shared table of decimal labels; its ``pa-subset`` payloads, one line of
+labels per row, are rendered from them when the transcript hashes or
+reads them.  The array is thus the only copy of the subsets.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -193,8 +196,9 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     are); each output bit is the parity of the key over one subset.
     Rows are drawn in chunks of at most the rows still wanted, so the
     stream stops right after the last accepted subset.  Each chunk is
-    rendered with whole-chunk numpy operations: its payloads are the
-    lines of one decimal text of all its rows' indices.
+    posted with :meth:`PublicTranscript.post_lines`; its payloads are the
+    lines of one decimal text of all its rows' indices, which
+    :func:`_subset_lines` renders with whole-chunk numpy operations.
 
     Returns
     -------
@@ -222,19 +226,22 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
         rows = rng.uniforms(wanted * n).reshape(wanted, n) < 0.5
         rows = rows[rows.any(axis=1)]  # an empty row is rejected; the next row is its redraw
         final.extend((np.count_nonzero(rows & bits, axis=1) & 1).tolist())
-        # Every row's indices, row after row, and their labels as one text of one line per row.
+        # Every row's indices, row after row; a row's subset is its stretch of them.
         cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
         ends = np.cumsum(np.count_nonzero(rows, axis=1))
-        gathered = labels.take(cols)
-        gathered[ends - 1] = labels.take(cols[ends - 1] + n)  # each row's last label ends its line
-        lines = gathered.tobytes().replace(b"\0", b"").decode("ascii").split("\n")
-        del gathered  # kept through the next chunk's draws, it raised peak RSS by about 2 MB
-        start = 0  # the text ends in a newline; zip drops the empty piece after it
-        for end, payload in zip(ends.tolist(), lines):
-            transcript.post("alice", "pa-subset", payload)
+        transcript.post_lines("alice", "pa-subset", functools.partial(_subset_lines, labels, cols, ends))
+        start = 0
+        for end in ends.tolist():
             subsets.append(cols[start:end])
             start = end
     return final, subsets
+
+
+def _subset_lines(labels, cols, ends) -> bytes:
+    """One decimal line per row of a chunk: the row's labels, its last one ending the line."""
+    gathered = labels.take(cols)
+    gathered[ends - 1] = labels.take(cols[ends - 1] + len(labels) // 2)
+    return gathered.tobytes().replace(b"\0", b"")
 
 
 def apply_subsets(key, subsets):

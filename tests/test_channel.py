@@ -1,8 +1,11 @@
 """Channel behavior: pulse emission, noise effects, transcript mechanics."""
 
+import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkdsim import (
     Ket2,
@@ -29,6 +32,7 @@ from qkdsim import (
     transmit,
     vh_alphabet,
 )
+from qkdsim.channel import Message
 from util import binomial_sigma, rand_ket
 
 VERTICAL = Ket2(1, 0)
@@ -159,3 +163,76 @@ def test_transcript_replay_determinism():
     first = session_transcript(run_session(cfg)).serialize()
     second = session_transcript(run_session(cfg)).serialize()
     assert first == second
+
+
+class MessageTranscript:
+    """One stored message per post, hashed when the digest is asked for: the oracle."""
+
+    def __init__(self):
+        self._messages = []
+
+    def post(self, sender, tag, payload):
+        self._messages.append(Message(sender, tag, payload))
+
+    def read_all(self):
+        return list(self._messages)
+
+    def find(self, sender, tag):
+        for msg in self._messages:
+            if msg.sender == sender and msg.tag == tag:
+                return msg
+        return None
+
+    def serialize(self):
+        return "".join(msg.line() for msg in self._messages)
+
+    def digest(self):
+        sha = hashlib.sha256()
+        for msg in self._messages:
+            sha.update(msg.line().encode("utf-8"))
+        return sha.hexdigest()
+
+    def __len__(self):
+        return len(self._messages)
+
+
+_SENDERS = st.sampled_from(["alice", "bob"])
+_TAGS = st.sampled_from(["kept", "parity", "pa-subset"])
+_INDICES = st.lists(st.integers(0, 20_000), min_size=1, max_size=12).map(lambda row: ",".join(map(str, row)))
+_CHUNK_LINES = st.one_of(
+    st.lists(_INDICES, max_size=6),
+    st.lists(_INDICES, min_size=1, max_size=1),  # a one-line chunk
+    st.lists(st.integers(0, 20_000).map(str), min_size=1, max_size=6),  # rows of one index
+    st.lists(st.text("0123456789,", max_size=30), max_size=6),
+)
+_POSTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), _SENDERS, _TAGS, st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)),
+        st.tuples(st.just("lines"), _SENDERS, _TAGS, _CHUNK_LINES),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(posts=_POSTS)
+def test_transcript_matches_per_message_oracle(posts):
+    fast, oracle = PublicTranscript(), MessageTranscript()
+    for kind, sender, tag, body in posts:
+        if kind == "post":
+            fast.post(sender, tag, body)
+            oracle.post(sender, tag, body)
+        else:
+            text = "".join(f"{line}\n" for line in body).encode("ascii")
+            fast.post_lines(sender, tag, lambda text=text: text)
+            for line in body:
+                oracle.post(sender, tag, line)
+    assert fast.digest() == hashlib.sha256(fast.serialize().encode("utf-8")).hexdigest()
+    assert fast.digest() == oracle.digest()
+    assert fast.serialize() == oracle.serialize()
+    assert fast.read_all() == oracle.read_all()
+    assert list(fast) == oracle.read_all()
+    assert len(fast) == len(oracle)
+    for sender in ("alice", "bob"):
+        for tag in ("kept", "parity", "pa-subset", "abort"):
+            assert fast.find(sender, tag) == oracle.find(sender, tag)

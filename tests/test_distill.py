@@ -267,6 +267,20 @@ class TestPrivacyAmplify:
         assert len(result[1]) == len(transcript) == 3200
         assert peak - retained <= 6 * 2**20
 
+    def test_retained_memory_is_the_index_arrays(self):
+        # The transcript keeps each chunk's index array, which the
+        # subsets are views of, and renders its payloads when read.
+        key = _random_bits(Rng(115), 3400)
+        transcript = PublicTranscript()
+        tracemalloc.start()
+        try:
+            _, subsets = privacy_amplify(key, 0, 200, Rng(116), transcript)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(subsets) == len(transcript) == 3200
+        assert retained <= sum(subset.nbytes for subset in subsets) + 2 * 2**20
+
 
 @settings(max_examples=150, deadline=None)
 @given(

@@ -395,6 +395,35 @@ class TestSweepCommand:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--protocol", "bb84", "--vary", "theta", "--from", "0.2", "--to", "0.6"], "--vary theta needs --protocol b92"),
+            (["--vary", "theta", "--from", "0.2", "--to", "0.6", "--eve", "opaque"], "--vary theta needs --protocol b92"),
+            (["--protocol", "bb84", "--vary", "eve-frac", "--from", "0", "--to", "1"], "--vary eve-frac needs --eve opaque"),
+            (["--protocol", "b92", "--vary", "eve-frac", "--from", "0", "--to", "1", "--eve", "pns"], "--vary eve-frac needs --eve opaque"),
+        ],
+        ids=["bb84-theta", "default-protocol-theta", "no-eve-frac", "pns-eve-frac"],
+    )
+    def test_swept_value_the_session_ignores_is_usage_error(self, capsys, argv, message):
+        # Rows that differ only by seed would pass for a sweep of the value.
+        code, out, err = run_cli(capsys, ["sweep", "--n", "300", "--steps", "3", *argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_swept_protocol_and_eve_may_come_from_the_config_file(self, capsys, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("protocol = b92\neve = opaque\n", encoding="utf-8")
+        for vary in ("theta", "eve-frac"):
+            code, out, _ = run_cli(
+                capsys,
+                ["sweep", "--config", str(config), "--n", "300", "--vary", vary,
+                 "--from", "0.3", "--to", "0.5", "--steps", "2"],
+            )
+            assert code == 0
+            assert len(out.strip().splitlines()) == 3
+
     def test_single_step_single_row(self, capsys):
         code, out, _ = run_cli(
             capsys,
