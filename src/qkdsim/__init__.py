@@ -11,7 +11,7 @@ distillation (:mod:`qkdsim.distill`), the one-time pad
 """
 
 from . import errors
-from .alphabets import QuantumAlphabet, b92_alphabet, decode_by_basis, oblique_alphabet, vh_alphabet
+from .alphabets import QuantumAlphabet, b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import Message, NoiseModel, PublicTranscript, Pulse, emit_pulse, flip_state, transmit
 from .distill import (
     DistillAccounting,
@@ -23,7 +23,6 @@ from .distill import (
 )
 from .eve import (
     EntanglingEve,
-    EveRecord,
     EveTap,
     NoEve,
     OpaqueEve,

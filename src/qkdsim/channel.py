@@ -135,9 +135,6 @@ class PublicTranscript:
             else:
                 yield from entry.messages()
 
-    def read_all(self):
-        return list(self)
-
     def find(self, sender: str, tag: str):
         """First message matching (sender, tag), or None."""
         for entry in self._entries:

@@ -19,10 +19,10 @@ Privacy amplification then maps the reconciled key of length ``n`` to
 posted (indices only) and the new key is their undisclosed parities.
 The subsets are drawn as rows of a boolean matrix, a chunk of rows at a
 time from :meth:`Rng.uniforms`; an empty row is dropped and the next
-row takes its place, which is the draw-and-reject rule of
-:meth:`Rng.nonempty_subset` draw for draw.  A chunk's accepted rows
-become one packed ``int32`` array of column indices, and each subset is
-an ``int32`` view of its stretch of that array.  The chunk is posted as
+row takes its place.  Reconciliation's subset checks draw their rows by
+the same rule, one row at a time.  A chunk's accepted rows become one
+packed ``int32`` array of column indices, and each subset is an
+``int32`` view of its stretch of that array.  The chunk is posted as
 one transcript entry that keeps only that array, its row ends and the
 shared table of decimal labels; its ``pa-subset`` payloads, one line of
 labels per row, are rendered from them when the transcript hashes or
@@ -169,7 +169,9 @@ def reconcile(key_a, key_b, rate, rng, transcript):
         positions = state.alive_positions()
         if not positions:
             break
-        rel = rng.nonempty_subset(len(positions))
+        rel = []
+        while not rel:  # an empty row is redrawn, as in privacy amplification
+            rel = np.flatnonzero(rng.uniforms(len(positions)) < 0.5).tolist()
         transcript.post("bob", "subset", ",".join(map(str, rel)))
         clean = 0 if state.check([positions[j] for j in rel]) else clean + 1
 

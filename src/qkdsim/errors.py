@@ -29,10 +29,6 @@ class ThetaOutOfRange(QkdError):
     """A code-state angle lies outside the open interval (0, pi/4)."""
 
 
-class NotProjectiveAlphabet(QkdError):
-    """Basis decoding was requested for an alphabet without an orthonormal basis."""
-
-
 class StateNotInAlphabet(QkdError):
     """An interaction defined only on code states received some other state."""
 

@@ -1,4 +1,4 @@
-"""Eavesdropping strategies, the channel tap that applies them, and Eve's bookkeeping.
+"""Eavesdropping strategies, the channel tap that applies them, and Eve's guesses.
 
 Four attack families are modeled:
 
@@ -24,10 +24,12 @@ Translucent parameters are user-supplied and validated for unitarity
 is the model, not any particular "best" attack.  Eve defers all probe
 and stored-photon measurements until the public transcript has revealed
 sifting, which can only help her; :func:`eve_guess` performs those
-measurements and therefore needs nothing but her record and the
-transcript.
+measurements and therefore needs nothing but her tap and the
+transcript.  The tap decides once, when it is built, both how Eve acts
+on a pulse and how she turns what she holds into a guess.
 """
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -134,29 +136,6 @@ def is_translucent(strategy, protocol: str) -> bool:
     return True
 
 
-class EveRecord:
-    """Per-slot log of what Eve holds: an opaque ``(choice, bit)`` outcome or a kept qubit.
-
-    Carries enough context (protocol, theta, strategy) for
-    :func:`eve_guess` to work from the record and the public transcript
-    alone.  At most one entry per slot.
-    """
-
-    def __init__(self, strategy, protocol: str, theta: float | None):
-        self.strategy = strategy
-        self.protocol = protocol
-        self.theta = theta
-        self.entries = {}
-
-    def add(self, slot: int, entry) -> None:
-        if slot in self.entries:
-            raise ValueError(f"slot {slot} already recorded")
-        self.entries[slot] = entry
-
-    def __len__(self):
-        return len(self.entries)
-
-
 def validate_interaction(strategy) -> None:
     """Check that a translucent interaction could be a unitary.
 
@@ -230,22 +209,28 @@ def entangling_swap_attack(theta: float) -> EntanglingEve:
 
 
 class EveTap:
-    """Channel tap: applies one strategy pulse by pulse and keeps the record.
+    """Channel tap: applies one strategy pulse by pulse and keeps Eve's record.
 
-    There is no tap for :class:`NoEve`; ``protocol.make_tap`` builds none.
+    ``record`` maps each tapped slot to what Eve holds there: an opaque
+    ``(choice, bit)`` outcome, a stored photon or a probe.  The one
+    dispatch below fixes both how the tap acts on a pulse and the rule
+    by which :func:`eve_guess` turns an entry into a guess.  There is no
+    tap for :class:`NoEve`; ``protocol.make_tap`` builds none.
     """
 
     def __init__(self, strategy, protocol: str, rng: Rng, theta: float | None = None):
         self.strategy = strategy
         self.rng = rng
-        self.record = EveRecord(strategy, protocol, theta)
-        # A plain function, not a bound method: that would be a reference cycle,
-        # keeping a finished session's tap and record until the cyclic collector runs.
+        self.record = {}
+        # Plain functions and partials over values, never bound methods or closures
+        # over the tap: either would be a reference cycle, keeping a finished
+        # session's tap and record until the cyclic collector runs.
         if isinstance(strategy, OpaqueEve):
             self._act = EveTap._apply_opaque
             # (choice, basis) pairs, indexed by the basis coin.
             if protocol == "bb84":
-                self._menu = (("+", vh_alphabet().basis), ("x", oblique_alphabet().basis))
+                self._menu = (("+", vh_alphabet().code_states), ("x", oblique_alphabet().code_states))
+                self._guess = _guess_opaque_bb84
             else:
                 alpha = b92_alphabet(theta)
                 plus, minus = alpha.encode(1), alpha.encode(0)
@@ -253,38 +238,55 @@ class EveTap:
                 # seeing the plus state suggests 1, seeing its orthogonal proves 0,
                 # and symmetrically for the minus-generated basis.
                 self._menu = (("m", (minus, minus.orthogonal())), ("p", (plus.orthogonal(), plus)))
+                # The code states overlap by cos 2 theta.
+                self._guess = functools.partial(_guess_opaque_b92, 1.0 / (1.0 + math.cos(2.0 * theta) ** 2))
         elif isinstance(strategy, PhotonSplitEve):
             self._act = EveTap._apply_split
+            if protocol == "bb84":
+                bases = {"+": vh_alphabet().code_states, "x": oblique_alphabet().code_states}
+                self._guess = functools.partial(_guess_stored_bb84, bases)
+            else:
+                # A stored photon is in one of the code states.
+                held = b92_alphabet(theta).code_states
+                self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         elif is_translucent(strategy, protocol):
             validate_interaction(strategy)
             self._act = EveTap._apply_translucent
             alpha = b92_alphabet(theta)
             # Rows (code state, forwarded, probe), plus first: it wins if theta is below tolerance.
             self._table = tuple((alpha.encode(bit), *strategy.coupling[bit]) for bit in (1, 0))
+            # A probe is in one of the coupling's pair.
+            held = tuple(probe for _, probe in strategy.coupling)
+            self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         else:
             raise TypeError(f"no tap for {type(strategy).__name__}")
 
     def apply(self, pulse: Pulse) -> Pulse:
         return self._act(self, pulse)
 
+    def _hold(self, slot: int, entry) -> None:
+        if slot in self.record:
+            raise ValueError(f"slot {slot} already recorded")
+        self.record[slot] = entry
+
     def _apply_opaque(self, pulse: Pulse) -> Pulse:
         if self.rng.uniform() >= self.strategy.fraction:
             return pulse
         choice, basis = self._menu[self.rng.coin()]
         bit, collapsed = measure_projective(pulse.state, basis, self.rng)
-        self.record.add(pulse.slot, (choice, bit))
+        self._hold(pulse.slot, (choice, bit))
         return Pulse(pulse.slot, pulse.photons, collapsed)
 
     def _apply_split(self, pulse: Pulse) -> Pulse:
         if pulse.photons < 2:
             return pulse
-        self.record.add(pulse.slot, pulse.state)
+        self._hold(pulse.slot, pulse.state)
         return Pulse(pulse.slot, pulse.photons - 1, pulse.state)
 
     def _apply_translucent(self, pulse: Pulse) -> Pulse:
         for code_state, forwarded, probe in self._table:
             if states_equal(pulse.state, code_state):
-                self.record.add(pulse.slot, probe)
+                self._hold(pulse.slot, probe)
                 return Pulse(pulse.slot, pulse.photons, forwarded)
         raise StateNotInAlphabet(f"incoming state {pulse.state!r} is not a +-theta code state")
 
@@ -306,78 +308,69 @@ def discrimination_measurement(s0: Ket2, s1: Ket2):
     return (guess0, guess1), success
 
 
-def _transcript_rng(transcript) -> Rng:
-    # Seed from the sifting announcements only, so the derived stream is
-    # identical whether the guesses run mid-session or from a replayed
-    # transcript later.
-    sift_lines = "".join(
-        msg.line() for msg in transcript.read_all() if msg.tag in ("alphabets", "kept", "conclusive")
-    )
-    digest = hashlib.sha256(sift_lines.encode("utf-8")).digest()
-    return Rng(int.from_bytes(digest[:8], "big"))
+# Guess rules: (slot, entry, Bob's revealed alphabets, Eve's stream) -> (bit, confidence).
 
 
-def _sifted_slots(transcript):
+def _guess_opaque_bb84(slot, entry, alphabets, rng):
+    # Measured in the wrong basis, the outcome carries no information.
+    choice, bit = entry
+    return bit, 1.0 if alphabets[slot] == choice else 0.5
+
+
+def _guess_opaque_b92(ambiguous, slot, entry, alphabets, rng):
+    # The outcome along the basis's own code state (bit 1 in the plus-generated
+    # basis, bit 0 in the minus one) is ambiguous; its orthogonal excludes
+    # that code state outright.
+    return entry[1], ambiguous if entry in (("p", 1), ("m", 0)) else 1.0
+
+
+def _guess_stored_bb84(bases, slot, state, alphabets, rng):
+    # A stored photon, read in the basis Bob revealed.
+    return measure_projective(state, bases[alphabets[slot]], rng)[0], 1.0
+
+
+def _guess_helstrom(basis, success, slot, state, alphabets, rng):
+    # One Helstrom measurement serves every deferred slot of the tap.
+    return measure_projective(state, basis, rng)[0], success
+
+
+def _read_sifting(transcript):
+    """Sifted slots, Bob's revealed alphabets (None under B92) and Eve's stream.
+
+    All three come from the sifting announcements: Bob's ``conclusive``
+    slots under B92, Bob's ``alphabets`` and Alice's ``kept`` slots under
+    BB84.  The stream is seeded from those messages' lines only, so it is
+    the same whether the guesses run mid-session or from a replayed
+    transcript later.  Nothing announced yet gives no slots.
+    """
     conclusive = transcript.find("bob", "conclusive")
     if conclusive is not None:
-        slots = [int(x) for x in conclusive.payload.split(",") if x]
-        return slots, None
-    kept = transcript.find("alice", "kept")
-    alphabets = transcript.find("bob", "alphabets")
-    if kept is None or alphabets is None:
-        return [], None
-    slots = [int(x) for x in kept.payload.split(",") if x]
-    return slots, alphabets.payload
+        announced, alphabets = (conclusive,), None
+    else:
+        revealed, kept = transcript.find("bob", "alphabets"), transcript.find("alice", "kept")
+        if revealed is None or kept is None:
+            return [], None, None
+        announced, alphabets = (revealed, kept), revealed.payload
+    slots = [int(x) for x in announced[-1].payload.split(",") if x]
+    digest = hashlib.sha256("".join(msg.line() for msg in announced).encode("utf-8")).digest()
+    return slots, alphabets, Rng(int.from_bytes(digest[:8], "big"))
 
 
-def eve_guess(record: EveRecord, transcript):
+def eve_guess(tap: EveTap, transcript):
     """Eve's bit guess and confidence for every sifted slot she acted on.
 
-    Deferred measurements (stored photons, probes) are performed here.
-    Their randomness is seeded from the transcript's sifting
-    announcements, so rerunning with the same record and transcript
-    reproduces the same guesses.
+    Deferred measurements (stored photons, probes) are performed here,
+    by the guess rule the tap chose.  Their randomness is seeded from the
+    transcript's sifting announcements, so rerunning with the same tap
+    and transcript reproduces the same guesses.
 
     Returns
     -------
     dict slot -> (bit, confidence)
     """
-    entries = record.entries
-    if not entries:
+    record = tap.record
+    if not record:
         return {}
-    rng = _transcript_rng(transcript)
-    slots, alphabet_chars = _sifted_slots(transcript)
-    strategy, bb84 = record.strategy, record.protocol == "bb84"
-
-    if isinstance(strategy, OpaqueEve) and bb84:
-        # Wrong basis: the outcome carries no information.
-        def guess(slot, entry):
-            return entry[1], 1.0 if alphabet_chars[slot] == entry[0] else 0.5
-    elif isinstance(strategy, OpaqueEve):
-        # The outcome along the basis's own code state (bit 1 in the
-        # plus-generated basis, bit 0 in the minus one) is ambiguous; its
-        # orthogonal excludes that code state outright.  The code states overlap by cos 2 theta.
-        ambiguous = 1.0 / (1.0 + math.cos(2.0 * record.theta) ** 2)
-
-        def guess(slot, entry):
-            return entry[1], ambiguous if entry in (("p", 1), ("m", 0)) else 1.0
-    elif bb84:
-        # A stored photon, read in the basis Bob revealed.
-        bases = {"+": vh_alphabet().basis, "x": oblique_alphabet().basis}
-
-        def guess(slot, state):
-            return measure_projective(state, bases[alphabet_chars[slot]], rng)[0], 1.0
-    else:
-        # One Helstrom measurement serves every deferred slot: a stored
-        # photon is in a code state, a probe in one of the coupling's pair.
-        if isinstance(strategy, PhotonSplitEve):
-            alpha = b92_alphabet(record.theta)
-            held = (alpha.encode(0), alpha.encode(1))
-        else:
-            held = tuple(probe for _, probe in strategy.coupling)
-        basis, success = discrimination_measurement(*held)
-
-        def guess(slot, state):
-            return measure_projective(state, basis, rng)[0], success
-
-    return {slot: guess(slot, entries[slot]) for slot in slots if slot in entries}
+    slots, alphabets, rng = _read_sifting(transcript)
+    guess = tap._guess
+    return {slot: guess(slot, record[slot], alphabets, rng) for slot in slots if slot in record}

@@ -73,6 +73,9 @@ class SessionConfig:
             raise ValueError("r_max must lie in [0, 1]")
         if self.sec_param < 0:
             raise ValueError("sec_param must be non-negative")
+        if self.seed < 0:
+            # random.Random seeds with |seed|: a negative seed would replay its positive twin.
+            raise ValueError(f"seed must be non-negative, got {self.seed!r}")
         if is_translucent(self.eve, self.protocol):
             if abs(self.eve.theta - self.theta) > 1e-12:
                 raise ValueError("strategy theta differs from the session theta")
@@ -154,7 +157,7 @@ def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
             continue
         b_alpha = rng.coin()
         bob_alphas.append(b_alpha)
-        bit_out, _ = measure_projective(delivered.state, alphabets[b_alpha].basis, rng)
+        bit_out, _ = measure_projective(delivered.state, alphabets[b_alpha].code_states, rng)
         bob_bits.append(bit_out)
         received.append(True)
     return Stage1Record(alice_bits, received, bob_bits, alice_alphabets=alice_alphas, bob_alphabets=bob_alphas)
@@ -260,7 +263,7 @@ def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max):
 def _eve_accuracy(tap, transcript, sift: SiftResult):
     if tap is None:
         return None
-    guesses = eve_guess(tap.record, transcript)
+    guesses = eve_guess(tap, transcript)
     if not guesses:
         return None
     alice_by_slot = dict(zip(sift.slots, sift.raw_alice))

@@ -5,8 +5,8 @@ session is a pure function of its seed.  The generator is the Mersenne
 Twister behind :class:`random.Random`, and only its ``random()`` output
 is consumed -- the one primitive whose sequence CPython guarantees to be
 reproducible for a given seed across versions and platforms.  Every
-helper below (coins, bounded integers, permutations, subsets) is built
-on that single primitive, so transcripts replay bit-for-bit anywhere.
+helper below (coins, bounded integers, permutations) is built on that
+single primitive, so transcripts replay bit-for-bit anywhere.
 
 :meth:`Rng.uniforms` draws in bulk through numpy: it hands the same
 MT19937 state to ``numpy.random.RandomState``, whose ``random_sample``
@@ -82,13 +82,3 @@ class Rng:
     def sample_positions(self, n: int, m: int) -> list:
         """m distinct positions out of range(n), returned in ascending order."""
         return sorted(self.permutation(n)[:m])
-
-    def nonempty_subset(self, n: int) -> list:
-        """Ascending positions of a uniformly random nonempty subset of range(n).
-
-        Each index is included with probability 1/2; empty draws are rejected.
-        """
-        while True:
-            subset = [i for i in range(n) if self._random() < 0.5]
-            if subset:
-                return subset

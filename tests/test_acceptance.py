@@ -221,7 +221,7 @@ def test_criterion_09_photon_split_stealth():
     transcript = PublicTranscript()
     sift = sift_bb84(record, transcript)
     recorded_fraction = len(tap.record) / n
-    guesses = eve_guess(tap.record, transcript)
+    guesses = eve_guess(tap, transcript)
     alice = dict(zip(sift.slots, sift.raw_alice))
     accuracy = sum(1 for s, (b, _) in guesses.items() if alice.get(s) == b) / len(guesses)
     rate_split = _sifted_error_rate(sift)

@@ -32,13 +32,24 @@ def _flip_fraction(rng, bits, p):
     return [b ^ 1 if rng.uniform() < p else b for b in bits]
 
 
+def _scalar_nonempty_subset(rng, n):
+    """Ascending positions of a random nonempty subset of range(n), one draw per index.
+
+    Each index is included with probability 1/2; an empty draw is rejected and drawn again.
+    """
+    while True:
+        subset = [i for i in range(n) if rng.uniform() < 0.5]
+        if subset:
+            return subset
+
+
 def _scalar_privacy_amplify(key, k, s, rng, transcript):
     """Amplification one subset at a time: the oracle for the chunked version."""
     n = len(key)
     subsets = []
     final = []
     for _ in range(n - k - s):
-        subset = rng.nonempty_subset(n)
+        subset = _scalar_nonempty_subset(rng, n)
         transcript.post("alice", "pa-subset", ",".join(map(str, subset)))
         subsets.append(subset)
         final.append(_parity(key, subset))
@@ -98,7 +109,7 @@ class TestReconcile:
         assert len(rec_a) == len(key) - acct.bits_discarded
         # Discard hygiene: one bit per posted comparison.
         assert acct.bits_discarded == acct.parity_bits_disclosed
-        alice_parities = sum(1 for m in t.read_all() if m.tag == "parity" and m.sender == "alice")
+        alice_parities = sum(1 for m in t if m.tag == "parity" and m.sender == "alice")
         assert alice_parities == acct.parity_bits_disclosed
 
     def test_single_error_locating_fixture(self):
@@ -152,7 +163,7 @@ def test_reconcile_ends_within_one_check_per_bit(keys, rate, seed):
     t = PublicTranscript()
     rec_a, rec_b, acct = reconcile(key_a, key_b, rate, Rng(seed), t)
     assert len(rec_a) == len(rec_b)
-    assert sum(1 for m in t.read_all() if m.tag == "subset") <= len(key_a)
+    assert sum(1 for m in t if m.tag == "subset") <= len(key_a)
     assert len(key_a) - len(rec_a) == acct.parity_bits_disclosed == acct.bits_discarded
 
 
@@ -183,7 +194,7 @@ class TestLeakedBitsBound:
         record = run_stage1_bb84(cfg, rng, tap)
         transcript = PublicTranscript()
         sift = sift_bb84(record, transcript)
-        guesses = eve_guess(tap.record, transcript)
+        guesses = eve_guess(tap, transcript)
 
         def h2(p):
             if p in (0.0, 1.0):
@@ -220,7 +231,7 @@ class TestPrivacyAmplify:
     def test_subsets_are_posted(self):
         t = PublicTranscript()
         _, subsets = privacy_amplify([1, 0, 1, 1, 0, 1], 1, 2, Rng(110), t)
-        posted = [m for m in t.read_all() if m.tag == "pa-subset"]
+        posted = [m for m in t if m.tag == "pa-subset"]
         assert len(posted) == len(subsets)
         assert posted[0].payload == ",".join(map(str, subsets[0]))
 
@@ -309,7 +320,7 @@ def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
         final, subsets = privacy_amplify(key, k, s, fast_rng, fast_t)
     want_final, want_subsets = _scalar_privacy_amplify(key, k, s, oracle_rng, oracle_t)
     assert final == want_final
-    assert [m.payload for m in fast_t.read_all()] == [m.payload for m in oracle_t.read_all()]
+    assert [m.payload for m in fast_t] == [m.payload for m in oracle_t]
     assert [subset.tolist() for subset in subsets] == want_subsets
     assert fast_rng.uniform() == oracle_rng.uniform()
     assert apply_subsets(other, subsets) == [_parity(other, subset) for subset in want_subsets]

@@ -1,6 +1,7 @@
 """Eavesdropping strategies: taps, unitarity validation, and Eve's guesses."""
 
 import gc
+import hashlib
 import math
 import weakref
 
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from qkdsim import (
     EntanglingEve,
-    EveRecord,
     EveTap,
     Ket2,
     Ket4,
@@ -82,10 +82,10 @@ def test_opaque_eve_agreement_with_alice():
     # Conditioning on Eve's basis choice: 1/2 * 1 + 1/2 * 1/2 = 3/4.
     tap, transcript, sift = _bb84_opaque_run(1.0, 45_000, seed=82)
     alice = dict(zip(sift.slots, sift.raw_alice))
-    recorded = [(slot, bit) for slot, (_, bit) in tap.record.entries.items() if slot in alice]
+    recorded = [(slot, bit) for slot, (_, bit) in tap.record.items() if slot in alice]
     agree = sum(1 for slot, bit in recorded if alice[slot] == bit) / len(recorded)
     assert abs(agree - 0.75) < 0.02
-    guesses = eve_guess(tap.record, transcript)
+    guesses = eve_guess(tap, transcript)
     accuracy = sum(1 for s, (b, _) in guesses.items() if alice.get(s) == b) / len(guesses)
     assert abs(accuracy - 0.75) < 0.02
 
@@ -108,11 +108,12 @@ def test_opaque_fraction_out_of_range(fraction):
 
 
 def test_record_refuses_a_slot_twice():
-    record = EveRecord(OpaqueEve(), "bb84", None)
-    record.add(3, ("+", 1))
+    tap = EveTap(PhotonSplitEve(), "bb84", Rng(0))
+    tap.apply(Pulse(3, 2, VERTICAL))
     with pytest.raises(ValueError, match="slot 3 already recorded"):
-        record.add(3, ("x", 0))
-    assert record.entries == {3: ("+", 1)}
+        tap.apply(Pulse(3, 2, Ket2(0, 1)))
+    assert list(tap.record) == [3]
+    assert states_equal(tap.record[3], VERTICAL)
 
 
 def test_validate_identity_interaction():
@@ -170,11 +171,19 @@ def test_translucent_strategies_refuse_bb84():
 
 @pytest.mark.parametrize(
     "strategy,protocol",
-    [(OpaqueEve(1.0), "bb84"), (PhotonSplitEve(), "bb84"), (translucent_swap_attack(THETA), "b92")],
+    [
+        (OpaqueEve(1.0), "bb84"),
+        (PhotonSplitEve(), "bb84"),
+        (translucent_swap_attack(THETA), "b92"),
+        (OpaqueEve(1.0), "b92"),
+        (PhotonSplitEve(), "b92"),
+        (entangling_swap_attack(THETA), "b92"),
+    ],
 )
 def test_tap_is_freed_without_the_cycle_collector(strategy, protocol):
-    # A tap that referenced itself would keep its record after the session
-    # until a full collection, and a run of sessions would pile records up.
+    # A tap that referenced itself, through its action or its guess rule, would
+    # keep its record after the session until a full collection, and a run of
+    # sessions would pile records up.
     tap = EveTap(strategy, protocol, Rng(0), theta=THETA)
     tap.apply(Pulse(0, 2, b92_alphabet(THETA).encode(1)))
     ref = weakref.ref(tap)
@@ -229,7 +238,7 @@ def test_translucent_swap_probe_agreement_matches_helstrom():
     record = run_stage1_b92(cfg, rng, tap)
     transcript = PublicTranscript()
     sift = sift_b92(record, transcript)
-    guesses = eve_guess(tap.record, transcript)
+    guesses = eve_guess(tap, transcript)
     alice = dict(zip(sift.slots, sift.raw_alice))
     hits = sum(1 for s, (b, _) in guesses.items() if alice.get(s) == b)
     assert abs(hits / len(guesses) - closed_form) < 0.02
@@ -305,7 +314,7 @@ def test_entangling_tap_matches_joint_state_oracle(seed, bit, theta):
     joint = Ket4(*_entangled_joint(strategy, bit))
     want, residual = measure_povm_carrier(joint, povm, Rng(seed))
     assert measure_povm(out.state, povm, Rng(seed)) == want
-    assert states_equal(tap.record.entries[0], residual, tol=1e-12)
+    assert states_equal(tap.record[0], residual, tol=1e-12)
 
 
 def test_split_leaves_single_photon_pulses_alone():
@@ -320,7 +329,7 @@ def test_split_diverts_one_photon():
     out = tap.apply(Pulse(5, 2, VERTICAL))
     assert out.photons == 1
     assert states_equal(out.state, VERTICAL)
-    assert states_equal(tap.record.entries[5], VERTICAL)
+    assert states_equal(tap.record[5], VERTICAL)
 
 
 def test_split_record_fraction():
@@ -349,7 +358,7 @@ def test_split_guesses_perfect_in_revealed_basis_despite_noise():
     record = run_stage1_bb84(cfg, rng, tap)
     transcript = PublicTranscript()
     sift = sift_bb84(record, transcript)
-    guesses = eve_guess(tap.record, transcript)
+    guesses = eve_guess(tap, transcript)
     assert guesses, "expected some recorded sifted slots"
     alice = dict(zip(sift.slots, sift.raw_alice))
     assert all(alice[s] == b for s, (b, conf) in guesses.items())
@@ -357,16 +366,19 @@ def test_split_guesses_perfect_in_revealed_basis_despite_noise():
 
 
 def test_eve_guess_empty_without_entries():
-    record = EveRecord(OpaqueEve(1.0), "bb84", None)
+    tap = EveTap(OpaqueEve(1.0), "bb84", Rng(0))
     transcript = PublicTranscript()
-    assert eve_guess(record, transcript) == {}
+    transcript.post("bob", "alphabets", "+")
+    transcript.post("alice", "kept", "0")
+    assert eve_guess(tap, transcript) == {}
 
 
 def test_eve_guess_empty_without_sifting_announcement():
     # Eve holds an outcome, but no sifted slot has been announced yet.
-    record = EveRecord(OpaqueEve(1.0), "bb84", None)
-    record.add(0, ("+", 1))
-    assert eve_guess(record, PublicTranscript()) == {}
+    tap = EveTap(OpaqueEve(1.0), "bb84", Rng(0))
+    tap.apply(Pulse(0, 1, VERTICAL))
+    assert len(tap.record) == 1
+    assert eve_guess(tap, PublicTranscript()) == {}
 
 
 def test_eve_guess_reproducible_from_record_and_transcript():
@@ -379,12 +391,61 @@ def test_eve_guess_reproducible_from_record_and_transcript():
     record = run_stage1_b92(cfg, rng, tap)
     replay_transcript = PublicTranscript()
     sift = sift_b92(record, replay_transcript)
-    first = eve_guess(tap.record, transcript)
-    second = eve_guess(tap.record, transcript)
+    first = eve_guess(tap, transcript)
+    second = eve_guess(tap, transcript)
     assert first == second
     alice = dict(zip(sift.slots, sift.raw_alice))
     accuracy = sum(1 for s, (b, _) in first.items() if alice.get(s) == b) / len(first)
     assert accuracy == pytest.approx(report.eve_guess_accuracy)
+
+
+# Every sifted slot's guess and confidence, hashed, for each kind of tap.
+_GUESS_PINS = [
+    (
+        "bb84", OpaqueEve(0.5), NoiseModel(flip_p=0.02), 101,
+        "b71cf126f211221af73c76fd18db4ad0fd27d6546f94bac5cbd20d98f7bc2747",
+    ),
+    (
+        "b92", OpaqueEve(0.5), NoiseModel(flip_p=0.02), 102,
+        "12bff06b9435d96258150da02172b2d081b01a4f515a6512a320cf13a8f4f2b8",
+    ),
+    (
+        "bb84", PhotonSplitEve(), NoiseModel(loss_p=0.1, multi_p=0.05), 103,
+        "623e677a7eb8431812f186da4050620d27da241344a713887152150a3aeee155",
+    ),
+    (
+        "b92", PhotonSplitEve(), NoiseModel(loss_p=0.1, multi_p=0.05), 104,
+        "c1687632dde5f30d3b80e7377cb03cb1a30ebc36e1cb07425df973cc6ce5a8d6",
+    ),
+    (
+        "b92", translucent_swap_attack(THETA), NoiseModel(loss_p=0.1), 105,
+        "d99d02135d3c140523765310bfe3e161d1011d358cd6f7a7a61801c4e97b1788",
+    ),
+    (
+        "b92", entangling_swap_attack(THETA), NoiseModel(loss_p=0.1), 106,
+        "c19926bcb2581a4eecea1c537082e3e904862d2309d304218e97b750df6112e0",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "protocol,strategy,noise,seed,sha256",
+    _GUESS_PINS,
+    ids=[f"{protocol}-{strategy.label}" for protocol, strategy, *_ in _GUESS_PINS],
+)
+def test_eve_guess_is_pinned(protocol, strategy, noise, seed, sha256):
+    cfg = SessionConfig(protocol, 3000, theta=THETA, noise=noise, eve=strategy, seed=seed)
+    rng = Rng(cfg.seed)
+    tap = make_tap(cfg, rng)
+    transcript = PublicTranscript()
+    if protocol == "bb84":
+        sift_bb84(run_stage1_bb84(cfg, rng, tap), transcript)
+    else:
+        sift_b92(run_stage1_b92(cfg, rng, tap), transcript)
+    guesses = eve_guess(tap, transcript)
+    assert len(guesses) > 20
+    text = "".join(f"{slot} {int(bit)} {float(conf)!r}\n" for slot, (bit, conf) in sorted(guesses.items()))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == sha256
 
 
 def test_b92_opaque_menu_outcomes():
@@ -396,7 +457,7 @@ def test_b92_opaque_menu_outcomes():
     for slot in range(n):
         bit = slot % 2
         tap.apply(Pulse(slot, 1, alpha.encode(bit)))
-        choice, guess = tap.record.entries[slot]
+        choice, guess = tap.record[slot]
         # A "definitely not plus" outcome can never follow a plus transmission.
         if choice == "p" and guess == 0 and bit == 1:
             sure_wrong += 1
@@ -407,14 +468,12 @@ def test_b92_opaque_menu_outcomes():
 
 def test_b92_opaque_guess_confidence():
     # The outcome along its basis's own code state is ambiguous; its orthogonal is certain.
-    record = EveRecord(OpaqueEve(1.0), "b92", THETA)
-    entries = [("p", 1), ("p", 0), ("m", 0), ("m", 1)]
-    for slot, (choice, bit) in enumerate(entries):
-        record.add(slot, (choice, bit))
+    tap = EveTap(OpaqueEve(1.0), "b92", Rng(0), theta=THETA)
+    tap.record.update(enumerate([("p", 1), ("p", 0), ("m", 0), ("m", 1)]))
     transcript = PublicTranscript()
     transcript.post("bob", "conclusive", "0,1,2,3")
     ambiguous = 1.0 / (1.0 + math.cos(2 * THETA) ** 2)
-    assert eve_guess(record, transcript) == {
+    assert eve_guess(tap, transcript) == {
         0: (1, pytest.approx(ambiguous)),
         1: (0, 1.0),
         2: (0, pytest.approx(ambiguous)),

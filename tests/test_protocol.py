@@ -314,7 +314,7 @@ class TestRunSession:
         tap = make_tap(cfg, rng)
         record = run_stage1_b92(cfg, rng, tap)
         sift = sift_b92(record, PublicTranscript())
-        guesses = eve_guess(tap.record, transcript)
+        guesses = eve_guess(tap, transcript)
         alice = dict(zip(sift.slots, sift.raw_alice))
         accuracy = sum(1 for s, (b, _) in guesses.items() if alice.get(s) == b) / len(guesses)
         assert accuracy == pytest.approx(report.eve_guess_accuracy)
@@ -344,6 +344,7 @@ class TestRunSession:
             ({"r_max": -0.01}, "r_max"),
             ({"r_max": 1.5}, "r_max"),
             ({"sec_param": -1}, "sec_param"),
+            ({"seed": -1}, "seed must be non-negative"),
         ],
     )
     def test_config_ranges(self, setting, message):

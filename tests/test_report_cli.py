@@ -227,6 +227,13 @@ class TestRunCommand:
             main(["run", "--eve", "mallory"])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        # A negative seed would replay the session of its absolute value.
+        code, out, err = run_cli(capsys, ["run", "--n", "2000", "--seed", "-2"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be non-negative, got -2" in err
+
     @pytest.mark.parametrize("theta", ["nan", "inf"])
     def test_non_finite_theta_is_usage_error(self, capsys, theta):
         # Refused when the config is built, before any session runs.
@@ -379,6 +386,14 @@ class TestSweepCommand:
         assert code == 2
         assert out == ""
         assert f"{flag} must be at least 1" in err
+
+    def test_negative_seed_is_usage_error(self, capsys):
+        # Seeds -3 to 3 would average the sessions of seeds 1 to 3 twice.
+        argv = ["sweep", "--n", "100", "--vary", "flip", "--from", "0", "--to", "0.1", "--steps", "2"]
+        code, out, err = run_cli(capsys, [*argv, "--seed", "-3", "--repeats", "7"])
+        assert code == 2
+        assert out == ""
+        assert "seed must be non-negative, got -3" in err
 
     @pytest.mark.parametrize(
         "argv, message",
