@@ -20,17 +20,23 @@ posted (indices only) and the new key is their undisclosed parities.
 The subsets are drawn as rows of a boolean matrix, a chunk of rows at a
 time from :meth:`Rng.uniforms`; an empty row is dropped and the next
 row takes its place.  Reconciliation's subset checks draw their rows by
-the same rule, one row at a time.  A chunk's accepted rows become one
-packed ``int32`` array of column indices, and each subset is an
-``int32`` view of its stretch of that array.  The chunk is posted as
-one transcript entry that keeps only that array, its row ends and the
-shared table of decimal labels; its ``pa-subset`` payloads, one line of
-labels per row, are rendered from them when the transcript hashes or
-reads them.  The array is thus the only copy of the subsets.
+the same rule, one row at a time.  A chunk's accepted rows are kept as
+one block of ``np.packbits`` rows, ``ceil(n / 8)`` bytes each, beside
+the rows' sizes.  Both parties' parities come from the blocks: a row
+ANDed with the packed key, XOR-folded to one byte, and looked up in a
+256-entry parity table.  The chunk is posted as one transcript entry
+that keeps only its block, its sizes and the shared table of decimal
+labels; its ``pa-subset`` payloads, one line of labels per row, are
+rendered from them when the transcript hashes or reads them.  The
+blocks are thus the only copy of the subsets, and
+:class:`PackedSubsets` hands them out as :class:`SubsetRow` views that
+know their sizes without unpacking.
 """
 
+import bisect
 import functools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +46,7 @@ from .errors import KeyExhausted
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
 PA_CHUNK_DRAWS = 1 << 18  # about this many uniforms per chunk of amplification rows
+_BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
 
 
 def default_block_policy(rate: float, key_len: int) -> int:
@@ -191,22 +198,89 @@ def leaked_bits_bound(rate: float, n: int) -> int:
     return min(n, max(0, math.ceil(2.0 * rate * n - 1e-9)))
 
 
+class SubsetRow:
+    """One subset of ``range(n)``, held as a packed bit row.
+
+    ``len()`` is the stored size; iterating unpacks the row and yields
+    its indices in ascending order.
+    """
+
+    __slots__ = ("bits", "size", "n")
+
+    def __init__(self, bits, size: int, n: int):
+        self.bits = bits
+        self.size = size
+        self.n = n
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return iter(np.flatnonzero(np.unpackbits(self.bits, count=self.n).view(bool)).tolist())
+
+
+class PackedSubsets(Sequence):
+    """Subsets of ``range(n)`` as blocks of packed bit rows, with each row's size.
+
+    ``blocks[c]`` is one ``np.packbits(rows, axis=1)`` array and
+    ``sizes[c]`` its rows' subset sizes.  Indexing and iterating yield
+    :class:`SubsetRow` views of the rows, in block order.
+    """
+
+    __slots__ = ("n", "blocks", "sizes", "_starts")
+
+    def __init__(self, n: int, blocks, sizes):
+        self.n = n
+        self.blocks = blocks
+        self.sizes = sizes
+        self._starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
+
+    @classmethod
+    def pack(cls, subsets, n: int):
+        """One block of rows from plain index lists over ``range(n)``."""
+        rows = np.zeros((len(subsets), n), dtype=bool)
+        for row, subset in zip(rows, subsets):
+            row[list(subset)] = True
+        return cls(n, [np.packbits(rows, axis=1)], [np.count_nonzero(rows, axis=1)])
+
+    def __len__(self):
+        return self._starts[-1]
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]  # an int in range, or IndexError
+        c = bisect.bisect_right(self._starts, i) - 1
+        r = i - self._starts[c]
+        return SubsetRow(self.blocks[c][r], int(self.sizes[c][r]), self.n)
+
+    def __iter__(self):
+        for block, sizes in zip(self.blocks, self.sizes):
+            for bits, size in zip(block, sizes.tolist()):
+                yield SubsetRow(bits, size, self.n)
+
+
+def _parities(block, packed_key) -> list:
+    """Parity of the packed key over each row of ``block``."""
+    return _BYTE_PARITY[np.bitwise_xor.reduce(block & packed_key, axis=1)].tolist()
+
+
 def privacy_amplify(key, k: int, s: int, rng, transcript):
     """Compress ``key`` to ``len(key) - k - s`` random-subset parities.
 
     The subset index lists are posted to the transcript (contents never
     are); each output bit is the parity of the key over one subset.
     Rows are drawn in chunks of at most the rows still wanted, so the
-    stream stops right after the last accepted subset.  Each chunk is
-    posted with :meth:`PublicTranscript.post_lines`; its payloads are the
-    lines of one decimal text of all its rows' indices, which
-    :func:`_subset_lines` renders with whole-chunk numpy operations.
+    stream stops right after the last accepted subset.  Each chunk's
+    accepted rows are packed into one block, and the chunk is posted
+    with :meth:`PublicTranscript.post_lines`; its payloads are the lines
+    of one decimal text of all its rows' indices, which
+    :func:`_subset_lines` renders from the block with whole-chunk numpy
+    operations.
 
     Returns
     -------
     (final, subsets)
-        The final key bits and the subsets that produced them: ``int32``
-        index arrays, each a view of its chunk's packed index array.
+        The final key bits and the subsets that produced them, as
+        :class:`PackedSubsets` over the chunks' blocks.
 
     Raises
     ------
@@ -217,39 +291,46 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     m = n - k - s
     if m < 1:
         raise KeyExhausted(f"n - k - s = {n} - {k} - {s} leaves no key")
-    bits = np.asarray(key, dtype=bool)
+    packed_key = np.packbits(np.asarray(key, dtype=bool))
     # Label i is "i," inside a row and label n + i is "i\n" at a row's end; NUL-padded.
     labels = np.concatenate([np.array([f"{i}{c}" for i in range(n)], dtype="S") for c in ",\n"])
     rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
-    subsets = []
+    blocks, sizes = [], []
     final = []
-    while len(subsets) < m:
-        wanted = min(m - len(subsets), rows_per_chunk)
+    while len(final) < m:
+        wanted = min(m - len(final), rows_per_chunk)
         rows = rng.uniforms(wanted * n).reshape(wanted, n) < 0.5
-        rows = rows[rows.any(axis=1)]  # an empty row is rejected; the next row is its redraw
-        final.extend((np.count_nonzero(rows & bits, axis=1) & 1).tolist())
-        # Every row's indices, row after row; a row's subset is its stretch of them.
-        cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
-        ends = np.cumsum(np.count_nonzero(rows, axis=1))
-        transcript.post_lines("alice", "pa-subset", functools.partial(_subset_lines, labels, cols, ends))
-        start = 0
-        for end in ends.tolist():
-            subsets.append(cols[start:end])
-            start = end
-    return final, subsets
+        row_sizes = np.count_nonzero(rows, axis=1)
+        kept = row_sizes > 0  # an empty row is rejected; the next row is its redraw
+        block = np.packbits(rows[kept], axis=1)
+        row_sizes = row_sizes[kept]
+        final.extend(_parities(block, packed_key))
+        transcript.post_lines("alice", "pa-subset", functools.partial(_subset_lines, labels, block, row_sizes))
+        blocks.append(block)
+        sizes.append(row_sizes)
+    return final, PackedSubsets(n, blocks, sizes)
 
 
-def _subset_lines(labels, cols, ends) -> bytes:
-    """One decimal line per row of a chunk: the row's labels, its last one ending the line."""
+def _subset_lines(labels, block, sizes) -> bytes:
+    """One decimal line per row of a block: the row's labels, its last one ending the line."""
+    n = len(labels) // 2
+    rows = np.unpackbits(block, axis=1, count=n).view(bool)  # flatnonzero is far faster on bool
+    cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
+    ends = np.cumsum(sizes)
     gathered = labels.take(cols)
-    gathered[ends - 1] = labels.take(cols[ends - 1] + len(labels) // 2)
+    gathered[ends - 1] = labels.take(cols[ends - 1] + n)
     return gathered.tobytes().replace(b"\0", b"")
 
 
 def apply_subsets(key, subsets):
     """Recompute subset parities of ``key`` (the receiving side of amplification).
 
-    ``subsets`` holds index arrays or plain lists of indices.
+    ``subsets`` is what :func:`privacy_amplify` returns, or plain lists
+    of indices, which are first packed into the same rows.
     """
-    bits = np.asarray(key, dtype=bool)
-    return [np.count_nonzero(bits.take(subset)) & 1 for subset in subsets]
+    if not isinstance(subsets, PackedSubsets):
+        subsets = PackedSubsets.pack(subsets, len(key))
+    if subsets.n != len(key):
+        raise ValueError(f"subsets of range({subsets.n}) applied to a {len(key)}-bit key")
+    packed_key = np.packbits(np.asarray(key, dtype=bool))
+    return [parity for block in subsets.blocks for parity in _parities(block, packed_key)]

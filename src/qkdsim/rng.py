@@ -9,11 +9,12 @@ helper below (coins, bounded integers, permutations) is built on that
 single primitive, so transcripts replay bit-for-bit anywhere.
 
 :meth:`Rng.uniforms` draws in bulk through numpy: it hands the same
-MT19937 state to ``numpy.random.RandomState``, whose ``random_sample``
-builds each double from the next two 32-bit words exactly as
-``random()`` does (``(a >> 5) * 2**26 + (b >> 6)``, over ``2**53``), and
-hands the advanced state back.  A bulk draw is therefore the same
-sequence as that many ``random()`` calls, and the guarantee above holds.
+MT19937 state to the ``numpy.random.RandomState`` that each :class:`Rng`
+keeps, whose ``random_sample`` builds each double from the next two
+32-bit words exactly as ``random()`` does (``(a >> 5) * 2**26 +
+(b >> 6)``, over ``2**53``), and hands the advanced state back.  A bulk
+draw is therefore the same sequence as that many ``random()`` calls,
+and the guarantee above holds.
 """
 
 import random
@@ -24,11 +25,12 @@ import numpy as np
 class Rng:
     """Seeded random stream with the handful of draws the protocols need."""
 
-    __slots__ = ("seed", "_random")
+    __slots__ = ("seed", "_random", "_twister")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._random = random.Random(self.seed).random
+        self._twister = None  # built by the first uniforms(); numpy.random costs ~2 MB to load
 
     def uniform(self) -> float:
         """One draw in [0, 1)."""
@@ -37,12 +39,15 @@ class Rng:
     def uniforms(self, k: int) -> np.ndarray:
         """``k`` draws in [0, 1), the same values ``k`` calls of :meth:`uniform` return.
 
-        The generator's state goes to numpy and comes back advanced; the
-        ``random.Random`` behind ``_random`` stays the same object.
+        The generator's state goes to this stream's numpy twister and
+        comes back advanced, on every call, so the ``random.Random``
+        behind ``_random`` (still the same object) is always current.
         """
         generator = self._random.__self__
         version, internal, gauss_next = generator.getstate()
-        twister = np.random.RandomState(0)  # seeded only to skip reading OS entropy
+        twister = self._twister
+        if twister is None:
+            twister = self._twister = np.random.RandomState(0)  # seeded only to skip reading OS entropy
         twister.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
         draws = twister.random_sample(k)
         _, key, pos = twister.get_state()[:3]

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,12 @@ class TestPrivacyAmplify:
     def test_known_subsets_parity(self):
         assert apply_subsets([1, 1, 0, 0], [[0, 1], [2, 3]]) == [0, 0]
 
+    def test_subsets_of_another_length_are_refused(self):
+        # A 3-bit and a 4-bit key pack into the same one byte.
+        _, subsets = privacy_amplify([1, 1, 0, 0], 0, 2, Rng(106), PublicTranscript())
+        with pytest.raises(ValueError):
+            apply_subsets([1, 1, 0], subsets)
+
     def test_exhausted_key(self):
         with pytest.raises(KeyExhausted):
             privacy_amplify([1, 0, 1], 2, 1, Rng(107), PublicTranscript())
@@ -278,9 +285,10 @@ class TestPrivacyAmplify:
         assert len(result[1]) == len(transcript) == 3200
         assert peak - retained <= 6 * 2**20
 
-    def test_retained_memory_is_the_index_arrays(self):
-        # The transcript keeps each chunk's index array, which the
-        # subsets are views of, and renders its payloads when read.
+    def test_retained_memory_is_the_packed_rows(self):
+        # The transcript keeps each chunk's block of packed rows and
+        # their sizes, which the subsets read too, and renders its
+        # payloads from them when read.
         key = _random_bits(Rng(115), 3400)
         transcript = PublicTranscript()
         tracemalloc.start()
@@ -290,7 +298,22 @@ class TestPrivacyAmplify:
         finally:
             tracemalloc.stop()
         assert len(subsets) == len(transcript) == 3200
-        assert retained <= sum(subset.nbytes for subset in subsets) + 2 * 2**20
+        held = sum(block.nbytes for block in subsets.blocks) + sum(size.nbytes for size in subsets.sizes)
+        assert retained <= held + 2 * 2**20
+
+    def test_sizes_are_counted_without_unpacking(self):
+        key = _random_bits(Rng(117), 300)
+        _, subsets = privacy_amplify(key, 0, 20, Rng(118), PublicTranscript())
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("unpacked a row")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "unpackbits", refuse)
+            count, indices = len(subsets), sum(map(len, subsets))
+        unpacked = [list(subset) for subset in subsets]
+        assert count == len(unpacked) == 280
+        assert indices == sum(map(len, unpacked))
 
 
 @settings(max_examples=150, deadline=None)
@@ -321,6 +344,8 @@ def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
     want_final, want_subsets = _scalar_privacy_amplify(key, k, s, oracle_rng, oracle_t)
     assert final == want_final
     assert [m.payload for m in fast_t] == [m.payload for m in oracle_t]
-    assert [subset.tolist() for subset in subsets] == want_subsets
+    assert [list(subset) for subset in subsets] == want_subsets
+    assert [list(subsets[i]) for i in range(-len(subsets), 0)] == want_subsets
     assert fast_rng.uniform() == oracle_rng.uniform()
-    assert apply_subsets(other, subsets) == [_parity(other, subset) for subset in want_subsets]
+    want_parities = [_parity(other, subset) for subset in want_subsets]
+    assert apply_subsets(other, subsets) == apply_subsets(other, want_subsets) == want_parities
