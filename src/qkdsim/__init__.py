@@ -51,6 +51,7 @@ from .protocol import (
     sift_bb84,
 )
 from .quantum import (
+    Basis,
     Ket2,
     Ket4,
     PovmOutcome,

@@ -6,15 +6,18 @@ angles +-theta.  An alphabet is a value object.  The session engine
 builds the B92 alphabet and the receiver's POVM from the same session
 theta, so sender and receiver always agree on the angle.  The code
 states of a projective alphabet are its measurement basis, as passed to
-:func:`~qkdsim.quantum.measure_projective`, which refuses the
-non-orthogonal B92 pair with ``BadBasis``.
+:func:`~qkdsim.quantum.measure_projective`: they are a
+:class:`~qkdsim.quantum.Basis`, checked for orthogonality once, when the
+alphabet is built, and not again per measurement.  The B92 code states
+are a plain pair, which ``measure_projective`` checks on each call and
+refuses with ``BadBasis``, as they are not orthogonal.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import ThetaOutOfRange
-from .quantum import Ket2, polarization
+from .quantum import Basis, Ket2, polarization
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -30,14 +33,14 @@ class QuantumAlphabet:
 
 def vh_alphabet() -> QuantumAlphabet:
     """Vertical/horizontal alphabet: 1 -> vertical, 0 -> horizontal."""
-    return QuantumAlphabet("VH", (Ket2(0.0, 1.0), Ket2(1.0, 0.0)))
+    return QuantumAlphabet("VH", Basis(Ket2(0.0, 1.0), Ket2(1.0, 0.0)))
 
 
 def oblique_alphabet() -> QuantumAlphabet:
     """Oblique alphabet: 1 -> +45 degrees, 0 -> -45 degrees off vertical."""
     return QuantumAlphabet(
         "Oblique",
-        (Ket2(_SQRT_HALF, -_SQRT_HALF), Ket2(_SQRT_HALF, _SQRT_HALF)),
+        Basis(Ket2(_SQRT_HALF, -_SQRT_HALF), Ket2(_SQRT_HALF, _SQRT_HALF)),
     )
 
 

@@ -46,19 +46,22 @@ class NoiseModel:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
 
 
-@dataclass
 class Pulse:
     """One time slot's light: photon count plus the polarization state all its photons share."""
 
-    slot: int
-    photons: int
-    state: Ket2
+    __slots__ = ("slot", "photons", "state")
 
-    def __post_init__(self):
-        if self.photons < 1:
+    def __init__(self, slot: int, photons: int, state: Ket2):
+        if photons < 1:
             raise ValueError("a pulse carries at least one photon")
-        if not isinstance(self.state, Ket2):
+        if not isinstance(state, Ket2):
             raise ValueError("a pulse state must be a Ket2")
+        self.slot = slot
+        self.photons = photons
+        self.state = state
+
+    def __repr__(self):
+        return f"Pulse(slot={self.slot!r}, photons={self.photons!r}, state={self.state!r})"
 
 
 @dataclass(frozen=True)

@@ -224,7 +224,8 @@ class PackedSubsets(Sequence):
 
     ``blocks[c]`` is one ``np.packbits(rows, axis=1)`` array and
     ``sizes[c]`` its rows' subset sizes.  Indexing and iterating yield
-    :class:`SubsetRow` views of the rows, in block order.
+    :class:`SubsetRow` views of the rows, in block order; a slice gives
+    a list of them.
     """
 
     __slots__ = ("n", "blocks", "sizes", "_starts")
@@ -247,6 +248,8 @@ class PackedSubsets(Sequence):
         return self._starts[-1]
 
     def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
         i = range(len(self))[i]  # an int in range, or IndexError
         c = bisect.bisect_right(self._starts, i) - 1
         r = i - self._starts[c]

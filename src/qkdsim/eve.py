@@ -40,7 +40,7 @@ import numpy as np
 from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import Pulse
 from .errors import NotUnitary, StateNotInAlphabet
-from .quantum import Ket2, inner, measure_projective, states_equal
+from .quantum import Basis, Ket2, inner, measure_projective, states_equal
 from .rng import Rng
 
 INTERACTION_TOL = 1e-8
@@ -216,6 +216,15 @@ class EveTap:
     dispatch below fixes both how the tap acts on a pulse and the rule
     by which :func:`eve_guess` turns an entry into a guess.  There is no
     tap for :class:`NoEve`; ``protocol.make_tap`` builds none.
+
+    Every check on a fixed value runs once, here: a translucent
+    coupling's unitarity (:func:`validate_interaction`), and the
+    orthogonality of the opaque tap's measurement bases and of the
+    Helstrom basis, each built as a :class:`~qkdsim.quantum.Basis`.  Per
+    pulse, the translucent tap looks its row up by the pulse state's
+    exact amplitudes, which every emitted code state carries.  Any other
+    state is matched by ``states_equal``, plus row first, and one that
+    matches no row raises ``StateNotInAlphabet``.
     """
 
     def __init__(self, strategy, protocol: str, rng: Rng, theta: float | None = None):
@@ -237,7 +246,7 @@ class EveTap:
                 # Outcome index doubles as Eve's bit guess in either basis:
                 # seeing the plus state suggests 1, seeing its orthogonal proves 0,
                 # and symmetrically for the minus-generated basis.
-                self._menu = (("m", (minus, minus.orthogonal())), ("p", (plus.orthogonal(), plus)))
+                self._menu = (("m", Basis(minus, minus.orthogonal())), ("p", Basis(plus.orthogonal(), plus)))
                 # The code states overlap by cos 2 theta.
                 self._guess = functools.partial(_guess_opaque_b92, 1.0 / (1.0 + math.cos(2.0 * theta) ** 2))
         elif isinstance(strategy, PhotonSplitEve):
@@ -255,6 +264,13 @@ class EveTap:
             alpha = b92_alphabet(theta)
             # Rows (code state, forwarded, probe), plus first: it wins if theta is below tolerance.
             self._table = tuple((alpha.encode(bit), *strategy.coupling[bit]) for bit in (1, 0))
+            # The same rows by the code state's exact amplitudes, which every emitted
+            # pulse carries.  A row equal within tolerance to an earlier one is left
+            # out, so a pulse in its state still meets the earlier row in the table.
+            self._rows = {}
+            for i, (code_state, forwarded, probe) in enumerate(self._table):
+                if not any(states_equal(code_state, earlier[0]) for earlier in self._table[:i]):
+                    self._rows[code_state.a0, code_state.a1] = (forwarded, probe)
             # A probe is in one of the coupling's pair.
             held = tuple(probe for _, probe in strategy.coupling)
             self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
@@ -270,10 +286,11 @@ class EveTap:
         self.record[slot] = entry
 
     def _apply_opaque(self, pulse: Pulse) -> Pulse:
-        if self.rng.uniform() >= self.strategy.fraction:
+        rng = self.rng
+        if rng.uniform() >= self.strategy.fraction:
             return pulse
-        choice, basis = self._menu[self.rng.coin()]
-        bit, collapsed = measure_projective(pulse.state, basis, self.rng)
+        choice, basis = self._menu[rng.coin()]
+        bit, collapsed = measure_projective(pulse.state, basis, rng)
         self._hold(pulse.slot, (choice, bit))
         return Pulse(pulse.slot, pulse.photons, collapsed)
 
@@ -284,8 +301,14 @@ class EveTap:
         return Pulse(pulse.slot, pulse.photons - 1, pulse.state)
 
     def _apply_translucent(self, pulse: Pulse) -> Pulse:
+        state = pulse.state
+        row = self._rows.get((state.a0, state.a1))
+        if row is not None:
+            forwarded, probe = row
+            self._hold(pulse.slot, probe)
+            return Pulse(pulse.slot, pulse.photons, forwarded)
         for code_state, forwarded, probe in self._table:
-            if states_equal(pulse.state, code_state):
+            if states_equal(state, code_state):
                 self._hold(pulse.slot, probe)
                 return Pulse(pulse.slot, pulse.photons, forwarded)
         raise StateNotInAlphabet(f"incoming state {pulse.state!r} is not a +-theta code state")
@@ -305,7 +328,7 @@ def discrimination_measurement(s0: Ket2, s1: Ket2):
     guess1 = Ket2(vecs[0, 1], vecs[1, 1])
     overlap = abs(inner(s0, s1))
     success = 0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - overlap * overlap)))
-    return (guess0, guess1), success
+    return Basis(guess0, guess1), success
 
 
 # Guess rules: (slot, entry, Bob's revealed alphabets, Eve's stream) -> (bit, confidence).

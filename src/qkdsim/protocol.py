@@ -42,6 +42,7 @@ from .quantum import measure_povm_carrier  # noqa: F401
 from .rng import Rng
 
 ALPHABET_CHARS = ("+", "x")  # index = alphabet coin value
+INCONCLUSIVE = PovmOutcome.INCONCLUSIVE
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,54 +138,53 @@ def make_tap(cfg: SessionConfig, rng: Rng):
 
 def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     """Quantum stage of BB84: coin-flipped bits and alphabets, one pulse per slot."""
-    alphabets = (vh_alphabet(), oblique_alphabet())
+    # Each alphabet's code states, a Basis checked when it is built, indexed by the alphabet coin.
+    bases = (vh_alphabet().code_states, oblique_alphabet().code_states)
+    noise = cfg.noise
+    coin = rng.coin
     alice_bits = []
     alice_alphas = []
     bob_alphas = []
     bob_bits = []
     received = []
     for slot in range(cfg.n_pulses):
-        bit = rng.coin()
-        alpha = rng.coin()
+        bit = coin()
+        alpha = coin()
         alice_bits.append(bit)
         alice_alphas.append(alpha)
-        pulse = emit_pulse(slot, alphabets[alpha].encode(bit), cfg.noise, rng)
-        delivered = transmit(pulse, cfg.noise, tap, rng)
+        delivered = transmit(emit_pulse(slot, bases[alpha][bit], noise, rng), noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_alphas.append(None)
             bob_bits.append(None)
             continue
-        b_alpha = rng.coin()
+        b_alpha = coin()
         bob_alphas.append(b_alpha)
-        bit_out, _ = measure_projective(delivered.state, alphabets[b_alpha].code_states, rng)
-        bob_bits.append(bit_out)
+        bob_bits.append(measure_projective(delivered.state, bases[b_alpha], rng)[0])
         received.append(True)
     return Stage1Record(alice_bits, received, bob_bits, alice_alphabets=alice_alphas, bob_alphabets=bob_alphas)
 
 
 def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     """Quantum stage of B92: one alphabet, POVM receiver per delivered pulse."""
-    alphabet = b92_alphabet(cfg.theta)
+    code_states = b92_alphabet(cfg.theta).code_states
     povm = build_povm(cfg.theta)
+    noise = cfg.noise
+    coin = rng.coin
     alice_bits = []
     received = []
     bob_bits = []
     for slot in range(cfg.n_pulses):
-        bit = rng.coin()
+        bit = coin()
         alice_bits.append(bit)
-        pulse = emit_pulse(slot, alphabet.encode(bit), cfg.noise, rng)
-        delivered = transmit(pulse, cfg.noise, tap, rng)
+        delivered = transmit(emit_pulse(slot, code_states[bit], noise, rng), noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_bits.append(None)
             continue
         outcome = measure_povm(delivered.state, povm, rng)
         received.append(True)
-        if outcome == PovmOutcome.INCONCLUSIVE:
-            bob_bits.append(None)
-        else:
-            bob_bits.append(int(outcome))
+        bob_bits.append(None if outcome == INCONCLUSIVE else int(outcome))
     return Stage1Record(alice_bits, received, bob_bits)
 
 

@@ -26,6 +26,21 @@ Conventions
 * Tolerances: 1e-12 on state norms, 1e-10 on unitarity, Hermiticity and
   positivity.  Double precision on these tiny matrices is far better
   than either bound.  Checks read ``not defect <= TOL``, so NaN fails.
+
+Where the checks run
+--------------------
+A check on a value that stays fixed for a session runs once, when the
+value is built; a check on what changes per call runs on every call.
+
+* :class:`Ket2` normalizes, and refuses a zero or non-finite pair, when
+  it is built.
+* :class:`Basis` checks that its pair is two orthogonal :class:`Ket2`
+  when it is built.  :func:`measure_projective` trusts a ``Basis`` and
+  checks any other pair on every call, as ``BadBasis``, before it checks
+  that the measured state is a qubit (``DimensionMismatch``).
+* :func:`build_povm` checks each element's Hermiticity and positivity,
+  and the set's completeness, once.  :func:`measure_povm` checks on
+  every readout that the state's probabilities sum to 1.
 """
 
 import math
@@ -185,14 +200,37 @@ def _check_basis(basis):
     return b0, b1
 
 
+class Basis(tuple):
+    """Orthonormal pair of qubit states, indexed by bit label, checked once when built.
+
+    A basis is the tuple ``(b0, b1)``: it indexes and unpacks as the
+    plain pair does, and a copy is built, and checked, again.
+
+    Raises
+    ------
+    BadBasis
+        Unless both states are :class:`Ket2` and they are orthogonal
+        within 1e-10.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, b0: Ket2, b1: Ket2):
+        return super().__new__(cls, _check_basis((b0, b1)))
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+
 def measure_projective(state: Ket2, basis, rng):
     """Projective measurement of ``state`` in an orthonormal basis pair.
 
     Parameters
     ----------
-    basis : (Ket2, Ket2)
+    basis : Basis or (Ket2, Ket2)
         Basis states indexed by their bit label: ``basis[b]`` is the
-        state reported as outcome ``b``.
+        state reported as outcome ``b``.  A :class:`Basis` was checked
+        when it was built; any other pair is checked on every call.
     rng : Rng
         Source for the single Born-rule draw.
 
@@ -201,9 +239,19 @@ def measure_projective(state: Ket2, basis, rng):
     (bit, collapsed) : (int, Ket2)
         Outcome ``b`` occurs with probability ``|<basis[b]|state>|**2``
         and leaves the system in ``basis[b]``.
+
+    Raises
+    ------
+    BadBasis
+        If a pair that is not a :class:`Basis` fails the basis check.
+    DimensionMismatch
+        Unless ``state`` is a qubit state.
     """
-    b0, b1 = _check_basis(basis)
-    p0 = abs(inner(b0, state)) ** 2
+    b0, b1 = basis if isinstance(basis, Basis) else _check_basis(basis)
+    if not isinstance(state, Ket2):
+        raise DimensionMismatch(f"cannot pair {type(b0).__name__} with {type(state).__name__}")
+    # inner(b0, state), written out.
+    p0 = abs(b0.a0.conjugate() * state.a0 + b0.a1.conjugate() * state.a1) ** 2
     bit = 0 if rng.uniform() < p0 else 1
     return bit, (b0 if bit == 0 else b1)
 
@@ -310,17 +358,27 @@ def povm_probabilities(state: Ket2, povm: PovmSet):
     """
     a0, a1 = state.a0, state.a1
     c0, c1 = a0.conjugate(), a1.conjugate()
-    return tuple(
-        (c0 * (m00 * a0 + m01 * a1) + c1 * (m10 * a0 + m11 * a1)).real
-        for m00, m01, m10, m11 in povm._entries
+    (z00, z01, z10, z11), (o00, o01, o10, o11), (i00, i01, i10, i11) = povm._entries
+    return (
+        (c0 * (z00 * a0 + z01 * a1) + c1 * (z10 * a0 + z11 * a1)).real,
+        (c0 * (o00 * a0 + o01 * a1) + c1 * (o10 * a0 + o11 * a1)).real,
+        (c0 * (i00 * a0 + i01 * a1) + c1 * (i10 * a0 + i11 * a1)).real,
     )
 
 
 def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
-    """Sample one POVM outcome; probabilities are the three quadratic forms."""
+    """Sample one POVM outcome; probabilities are the three quadratic forms.
+
+    Raises
+    ------
+    NotHermitian
+        If the probabilities do not sum to 1 within 1e-10.
+    """
     probs = povm_probabilities(state, povm)
-    if not abs(sum(probs) - 1.0) <= OPERATOR_TOL:
-        raise NotHermitian(f"POVM probabilities sum to {sum(probs)!r}")
+    p0, p1, p2 = probs
+    total = p0 + p1 + p2  # sum(probs), written out
+    if not abs(total - 1.0) <= OPERATOR_TOL:
+        raise NotHermitian(f"POVM probabilities sum to {total!r}")
     return _OUTCOMES[rng.pick_weighted(probs)]
 
 

@@ -224,6 +224,13 @@ class TestPrivacyAmplify:
         with pytest.raises(ValueError):
             apply_subsets([1, 1, 0], subsets)
 
+    def test_slices_give_the_rows(self):
+        subsets = distill.PackedSubsets.pack([[0, 2], [1], [0, 1, 2]], 3)
+        assert [list(row) for row in subsets[0:2]] == [[0, 2], [1]]
+        assert [list(row) for row in subsets[::-2]] == [[0, 1, 2], [0, 2]]
+        assert [len(row) for row in subsets[1:]] == [1, 3]
+        assert subsets[5:] == []
+
     def test_exhausted_key(self):
         with pytest.raises(KeyExhausted):
             privacy_amplify([1, 0, 1], 2, 1, Rng(107), PublicTranscript())
@@ -346,6 +353,7 @@ def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
     assert [m.payload for m in fast_t] == [m.payload for m in oracle_t]
     assert [list(subset) for subset in subsets] == want_subsets
     assert [list(subsets[i]) for i in range(-len(subsets), 0)] == want_subsets
+    assert [list(subset) for subset in subsets[1::2]] == want_subsets[1::2]
     assert fast_rng.uniform() == oracle_rng.uniform()
     want_parities = [_parity(other, subset) for subset in want_subsets]
     assert apply_subsets(other, subsets) == apply_subsets(other, want_subsets) == want_parities

@@ -223,6 +223,29 @@ def test_translucent_rejects_non_code_state():
         tap.apply(Pulse(0, 1, VERTICAL))
 
 
+def test_translucent_tap_below_tolerance_keeps_the_plus_row():
+    # At theta = 1e-6 the code states overlap by 1 - 2e-12, one state within
+    # tolerance, so a minus-state pulse meets the plus row first.
+    theta = 1e-6
+    strategy = translucent_swap_attack(theta)
+    alpha = b92_alphabet(theta)
+    assert states_equal(alpha.encode(0), alpha.encode(1))
+    tap = EveTap(strategy, "b92", Rng(88), theta=theta)
+    for bit in (0, 1):
+        tap.apply(Pulse(bit, 1, alpha.encode(bit)))
+        assert tap.record[bit] is strategy.probe_plus
+
+
+def test_translucent_tap_finds_a_code_state_up_to_phase():
+    # Off the code state's exact amplitudes, the row is found by states_equal.
+    strategy = translucent_swap_attack(THETA)
+    tap = EveTap(strategy, "b92", Rng(89), theta=THETA)
+    minus = b92_alphabet(THETA).encode(0)
+    out = tap.apply(Pulse(0, 1, Ket2(-minus.a0, -minus.a1)))
+    assert tap.record[0] is strategy.probe_minus
+    assert out.state is strategy.out_minus
+
+
 def test_translucent_swap_probe_agreement_matches_helstrom():
     # Brute-force oracle over projective measurements fixes the target.
     strategy = translucent_swap_attack(THETA)

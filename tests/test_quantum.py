@@ -1,6 +1,8 @@
 """State-vector core: construction, brackets, evolution, measurement, POVM."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import (
+    Basis,
     Ket2,
     Ket4,
     PovmOutcome,
@@ -164,6 +167,15 @@ class TestMeasureProjective:
         with pytest.raises(BadBasis):
             measure_projective(VERTICAL, (VERTICAL, DIAG), Rng(0))
 
+    def test_bad_basis_is_checked_before_the_state(self):
+        with pytest.raises(BadBasis):
+            measure_projective(Ket4(1, 0, 0, 0), (VERTICAL, DIAG), Rng(0))
+
+    @pytest.mark.parametrize("basis", [(HORIZONTAL, VERTICAL), Basis(HORIZONTAL, VERTICAL)], ids=["tuple", "Basis"])
+    def test_non_qubit_state_is_refused(self, basis):
+        with pytest.raises(DimensionMismatch):
+            measure_projective(Ket4(1, 0, 0, 0), basis, Rng(0))
+
     def test_frequencies_match_born_rule(self):
         # 3-sigma binomial band around |<b|s>|^2 for an arbitrary state.
         rng = Rng(46)
@@ -179,6 +191,32 @@ class TestMeasureProjective:
         a = [measure_projective(DIAG, (HORIZONTAL, VERTICAL), rng_a)[0] for _ in range(2000)]
         b = [measure_projective(DIAG, (HORIZONTAL, VERTICAL), rng_b)[0] for _ in range(2000)]
         assert a == b
+
+
+class TestBasis:
+    def test_is_the_pair(self):
+        basis = Basis(HORIZONTAL, VERTICAL)
+        assert basis == (HORIZONTAL, VERTICAL)
+        assert basis[1] is VERTICAL
+
+    def test_survives_copy_and_pickle(self):
+        basis = Basis(DIAG.orthogonal(), DIAG)
+        for twin in (copy.deepcopy(basis), pickle.loads(pickle.dumps(basis))):
+            assert type(twin) is Basis
+            assert [(k.a0, k.a1) for k in twin] == [(k.a0, k.a1) for k in basis]
+
+    def test_non_orthogonal_pair_refused(self):
+        with pytest.raises(BadBasis, match="not orthogonal"):
+            Basis(VERTICAL, DIAG)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [(VERTICAL, Ket4(0, 1, 0, 0)), ((1, 0), (0, 1)), (HORIZONTAL, np.array([1, 0]))],
+        ids=["ket4", "tuples", "array"],
+    )
+    def test_pair_that_is_not_ket2_refused(self, pair):
+        with pytest.raises(BadBasis, match="pair of qubit states"):
+            Basis(*pair)
 
 
 class TestPovm:
