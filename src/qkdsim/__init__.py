@@ -12,7 +12,7 @@ distillation (:mod:`qkdsim.distill`), the one-time pad
 
 from . import errors
 from .alphabets import QuantumAlphabet, b92_alphabet, oblique_alphabet, vh_alphabet
-from .channel import Message, NoiseModel, PublicTranscript, Pulse, emit_pulse, flip_state, transmit
+from .channel import Message, NoiseModel, PublicTranscript, flip_state, transmit
 from .distill import (
     DistillAccounting,
     apply_subsets,

@@ -1,8 +1,9 @@
 """The two channels: a lossy/noisy one-way quantum link and a public transcript.
 
-The quantum side moves :class:`Pulse` values (one time slot each).  A
-noise model contributes three independent effects, applied in a fixed,
-documented order inside :func:`transmit`:
+The quantum side carries one time slot's polarization state, a
+:class:`~qkdsim.quantum.Ket2`, at a time.  :func:`transmit` draws the
+source's photon count, then applies the noise model's three independent
+effects in a fixed, documented order:
 
     eavesdropper tap  ->  polarization flip  ->  loss
 
@@ -44,24 +45,6 @@ class NoiseModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
-
-
-class Pulse:
-    """One time slot's light: photon count plus the polarization state all its photons share."""
-
-    __slots__ = ("slot", "photons", "state")
-
-    def __init__(self, slot: int, photons: int, state: Ket2):
-        if photons < 1:
-            raise ValueError("a pulse carries at least one photon")
-        if not isinstance(state, Ket2):
-            raise ValueError("a pulse state must be a Ket2")
-        self.slot = slot
-        self.photons = photons
-        self.state = state
-
-    def __repr__(self):
-        return f"Pulse(slot={self.slot!r}, photons={self.photons!r}, state={self.state!r})"
 
 
 @dataclass(frozen=True)
@@ -161,29 +144,26 @@ class PublicTranscript:
         return self._count
 
 
-def emit_pulse(slot: int, state: Ket2, noise: NoiseModel, rng) -> Pulse:
-    """Source one pulse; a weak source emits two photons with probability multi_p."""
-    photons = 2 if rng.uniform() < noise.multi_p else 1
-    return Pulse(slot, photons, state)
-
-
 def flip_state(state: Ket2) -> Ket2:
     """90-degree polarization rotation."""
     return Ket2(-state.a1, state.a0)
 
 
-def transmit(pulse: Pulse, noise: NoiseModel, tap, rng):
-    """Carry a pulse through the channel; returns the delivered pulse or None.
+def transmit(slot: int, state: Ket2, noise: NoiseModel, tap, rng):
+    """Carry one slot's state through the channel; returns the delivered state or None.
 
-    Effect order is fixed: the eavesdropper tap (if any) acts first,
-    then the flip draw, then the loss draw.  Flip and loss each consume
-    exactly one draw per pulse regardless of their probabilities, so the
-    random stream is aligned across noise settings.
+    Draw order is fixed: the source's multi-photon draw (a weak source
+    emits two photons with probability ``multi_p``), then the
+    eavesdropper tap (if any), then the flip draw, then the loss draw.
+    The source, flip and loss each consume exactly one draw per slot
+    regardless of their probabilities, so the random stream is aligned
+    across noise settings.
     """
+    photons = 2 if rng.uniform() < noise.multi_p else 1
     if tap is not None:
-        pulse = tap.apply(pulse)
+        state = tap.apply(slot, photons, state)
     if rng.uniform() < noise.flip_p:
-        pulse = Pulse(pulse.slot, pulse.photons, flip_state(pulse.state))
+        state = flip_state(state)
     if rng.uniform() < noise.loss_p:
         return None
-    return pulse
+    return state

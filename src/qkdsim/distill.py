@@ -33,10 +33,8 @@ blocks are thus the only copy of the subsets, and
 know their sizes without unpacking.
 """
 
-import bisect
 import functools
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -219,22 +217,20 @@ class SubsetRow:
         return iter(np.flatnonzero(np.unpackbits(self.bits, count=self.n).view(bool)).tolist())
 
 
-class PackedSubsets(Sequence):
+class PackedSubsets:
     """Subsets of ``range(n)`` as blocks of packed bit rows, with each row's size.
 
     ``blocks[c]`` is one ``np.packbits(rows, axis=1)`` array and
-    ``sizes[c]`` its rows' subset sizes.  Indexing and iterating yield
-    :class:`SubsetRow` views of the rows, in block order; a slice gives
-    a list of them.
+    ``sizes[c]`` its rows' subset sizes.  Iterating yields
+    :class:`SubsetRow` views of the rows, in block order.
     """
 
-    __slots__ = ("n", "blocks", "sizes", "_starts")
+    __slots__ = ("n", "blocks", "sizes")
 
     def __init__(self, n: int, blocks, sizes):
         self.n = n
         self.blocks = blocks
         self.sizes = sizes
-        self._starts = np.cumsum([0] + [len(block) for block in blocks]).tolist()
 
     @classmethod
     def pack(cls, subsets, n: int):
@@ -245,15 +241,7 @@ class PackedSubsets(Sequence):
         return cls(n, [np.packbits(rows, axis=1)], [np.count_nonzero(rows, axis=1)])
 
     def __len__(self):
-        return self._starts[-1]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(len(self))[i]]
-        i = range(len(self))[i]  # an int in range, or IndexError
-        c = bisect.bisect_right(self._starts, i) - 1
-        r = i - self._starts[c]
-        return SubsetRow(self.blocks[c][r], int(self.sizes[c][r]), self.n)
+        return sum(len(block) for block in self.blocks)
 
     def __iter__(self):
         for block, sizes in zip(self.blocks, self.sizes):

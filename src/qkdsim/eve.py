@@ -38,7 +38,6 @@ from typing import ClassVar
 import numpy as np
 
 from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
-from .channel import Pulse
 from .errors import NotUnitary, StateNotInAlphabet
 from .quantum import Basis, Ket2, inner, measure_projective, states_equal
 from .rng import Rng
@@ -209,11 +208,18 @@ def entangling_swap_attack(theta: float) -> EntanglingEve:
 
 
 class EveTap:
-    """Channel tap: applies one strategy pulse by pulse and keeps Eve's record.
+    """Channel tap: applies one strategy slot by slot and keeps Eve's record.
+
+    :meth:`apply` takes a slot, the number of photons the source emitted
+    there and their shared polarization state, and returns only the
+    state forwarded to the receiver.  The opaque and translucent taps
+    ignore the photon count; the splitting tap stores the state of a
+    slot with two or more photons and forwards the same state, since
+    nothing downstream reads how many photons are left.
 
     ``record`` maps each tapped slot to what Eve holds there: an opaque
     ``(choice, bit)`` outcome, a stored photon or a probe.  The one
-    dispatch below fixes both how the tap acts on a pulse and the rule
+    dispatch below fixes both how the tap acts on a slot and the rule
     by which :func:`eve_guess` turns an entry into a guess.  There is no
     tap for :class:`NoEve`; ``protocol.make_tap`` builds none.
 
@@ -221,7 +227,7 @@ class EveTap:
     coupling's unitarity (:func:`validate_interaction`), and the
     orthogonality of the opaque tap's measurement bases and of the
     Helstrom basis, each built as a :class:`~qkdsim.quantum.Basis`.  Per
-    pulse, the translucent tap looks its row up by the pulse state's
+    slot, the translucent tap looks its row up by the incoming state's
     exact amplitudes, which every emitted code state carries.  Any other
     state is matched by ``states_equal``, plus row first, and one that
     matches no row raises ``StateNotInAlphabet``.
@@ -262,56 +268,55 @@ class EveTap:
             validate_interaction(strategy)
             self._act = EveTap._apply_translucent
             alpha = b92_alphabet(theta)
-            # Rows (code state, forwarded, probe), plus first: it wins if theta is below tolerance.
-            self._table = tuple((alpha.encode(bit), *strategy.coupling[bit]) for bit in (1, 0))
+            # Rows (code state, (forwarded, probe)), plus first: it wins if theta is below tolerance.
+            self._table = tuple((alpha.encode(bit), strategy.coupling[bit]) for bit in (1, 0))
             # The same rows by the code state's exact amplitudes, which every emitted
-            # pulse carries.  A row equal within tolerance to an earlier one is left
-            # out, so a pulse in its state still meets the earlier row in the table.
+            # state carries.  A row equal within tolerance to an earlier one is left
+            # out, so a state equal to it still meets the earlier row in the table.
             self._rows = {}
-            for i, (code_state, forwarded, probe) in enumerate(self._table):
-                if not any(states_equal(code_state, earlier[0]) for earlier in self._table[:i]):
-                    self._rows[code_state.a0, code_state.a1] = (forwarded, probe)
+            for i, (code_state, row) in enumerate(self._table):
+                if not any(states_equal(code_state, earlier) for earlier, _ in self._table[:i]):
+                    self._rows[code_state.a0, code_state.a1] = row
             # A probe is in one of the coupling's pair.
             held = tuple(probe for _, probe in strategy.coupling)
             self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         else:
             raise TypeError(f"no tap for {type(strategy).__name__}")
 
-    def apply(self, pulse: Pulse) -> Pulse:
-        return self._act(self, pulse)
+    def apply(self, slot: int, photons: int, state: Ket2) -> Ket2:
+        """The state forwarded for ``photons`` in ``state`` at ``slot``."""
+        return self._act(self, slot, photons, state)
 
     def _hold(self, slot: int, entry) -> None:
         if slot in self.record:
             raise ValueError(f"slot {slot} already recorded")
         self.record[slot] = entry
 
-    def _apply_opaque(self, pulse: Pulse) -> Pulse:
+    def _apply_opaque(self, slot: int, photons: int, state: Ket2) -> Ket2:
         rng = self.rng
         if rng.uniform() >= self.strategy.fraction:
-            return pulse
+            return state
         choice, basis = self._menu[rng.coin()]
-        bit, collapsed = measure_projective(pulse.state, basis, rng)
-        self._hold(pulse.slot, (choice, bit))
-        return Pulse(pulse.slot, pulse.photons, collapsed)
+        bit, collapsed = measure_projective(state, basis, rng)
+        self._hold(slot, (choice, bit))
+        return collapsed
 
-    def _apply_split(self, pulse: Pulse) -> Pulse:
-        if pulse.photons < 2:
-            return pulse
-        self._hold(pulse.slot, pulse.state)
-        return Pulse(pulse.slot, pulse.photons - 1, pulse.state)
+    def _apply_split(self, slot: int, photons: int, state: Ket2) -> Ket2:
+        if photons >= 2:
+            self._hold(slot, state)
+        return state
 
-    def _apply_translucent(self, pulse: Pulse) -> Pulse:
-        state = pulse.state
+    def _apply_translucent(self, slot: int, photons: int, state: Ket2) -> Ket2:
         row = self._rows.get((state.a0, state.a1))
-        if row is not None:
-            forwarded, probe = row
-            self._hold(pulse.slot, probe)
-            return Pulse(pulse.slot, pulse.photons, forwarded)
-        for code_state, forwarded, probe in self._table:
-            if states_equal(state, code_state):
-                self._hold(pulse.slot, probe)
-                return Pulse(pulse.slot, pulse.photons, forwarded)
-        raise StateNotInAlphabet(f"incoming state {pulse.state!r} is not a +-theta code state")
+        if row is None:
+            for code_state, row in self._table:
+                if states_equal(state, code_state):
+                    break
+            else:
+                raise StateNotInAlphabet(f"incoming state {state!r} is not a +-theta code state")
+        forwarded, probe = row
+        self._hold(slot, probe)
+        return forwarded
 
 
 def discrimination_measurement(s0: Ket2, s1: Ket2):

@@ -2,10 +2,12 @@
 
 A session is a pure function of its :class:`SessionConfig` (seed
 included).  One :class:`~qkdsim.rng.Rng` drives everything in a fixed
-per-slot draw order -- sender bit, sender alphabet (BB84 only), source
-multi-photon draw, tap draws, flip draw, loss draw, receiver alphabet
-and measurement (delivered pulses only) -- followed by the estimation
-sample, reconciliation and amplification draws.  Eve's guess is taken
+per-slot draw order -- sender bit, sender alphabet (BB84 only), then
+:func:`~qkdsim.channel.transmit`'s source multi-photon draw, tap draws,
+flip draw and loss draw, then receiver alphabet and measurement
+(delivered states only) -- followed by the estimation sample,
+reconciliation and amplification draws.  Each slot's state goes through
+the channel as a plain :class:`~qkdsim.quantum.Ket2`.  Eve's guess is taken
 right after sifting from her own stream, seeded from the transcript's
 sifting announcements, so it consumes no session draw.  The noise-free
 mode is the same engine with all noise probabilities at zero.  A protocol
@@ -31,7 +33,7 @@ import time
 from dataclasses import dataclass, field
 
 from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
-from .channel import NoiseModel, PublicTranscript, emit_pulse, transmit
+from .channel import NoiseModel, PublicTranscript, transmit
 from .distill import apply_subsets, leaked_bits_bound, privacy_amplify, reconcile
 from .errors import EmptySiftedKey, KeyExhausted, RestartRequired
 from .eve import EveTap, NoEve, eve_guess, is_translucent
@@ -152,7 +154,7 @@ def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
         alpha = coin()
         alice_bits.append(bit)
         alice_alphas.append(alpha)
-        delivered = transmit(emit_pulse(slot, bases[alpha][bit], noise, rng), noise, tap, rng)
+        delivered = transmit(slot, bases[alpha][bit], noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_alphas.append(None)
@@ -160,13 +162,13 @@ def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
             continue
         b_alpha = coin()
         bob_alphas.append(b_alpha)
-        bob_bits.append(measure_projective(delivered.state, bases[b_alpha], rng)[0])
+        bob_bits.append(measure_projective(delivered, bases[b_alpha], rng)[0])
         received.append(True)
     return Stage1Record(alice_bits, received, bob_bits, alice_alphabets=alice_alphas, bob_alphabets=bob_alphas)
 
 
 def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
-    """Quantum stage of B92: one alphabet, POVM receiver per delivered pulse."""
+    """Quantum stage of B92: one alphabet, POVM receiver per delivered state."""
     code_states = b92_alphabet(cfg.theta).code_states
     povm = build_povm(cfg.theta)
     noise = cfg.noise
@@ -177,12 +179,12 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     for slot in range(cfg.n_pulses):
         bit = coin()
         alice_bits.append(bit)
-        delivered = transmit(emit_pulse(slot, code_states[bit], noise, rng), noise, tap, rng)
+        delivered = transmit(slot, code_states[bit], noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_bits.append(None)
             continue
-        outcome = measure_povm(delivered.state, povm, rng)
+        outcome = measure_povm(delivered, povm, rng)
         received.append(True)
         bob_bits.append(None if outcome == INCONCLUSIVE else int(outcome))
     return Stage1Record(alice_bits, received, bob_bits)

@@ -40,7 +40,8 @@ value is built; a check on what changes per call runs on every call.
   that the measured state is a qubit (``DimensionMismatch``).
 * :func:`build_povm` checks each element's Hermiticity and positivity,
   and the set's completeness, once.  :func:`measure_povm` checks on
-  every readout that the state's probabilities sum to 1.
+  every readout that the state is a qubit (``DimensionMismatch``), before
+  any arithmetic, and then that its probabilities sum to 1.
 """
 
 import math
@@ -371,9 +372,13 @@ def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
 
     Raises
     ------
+    DimensionMismatch
+        Unless ``state`` is a qubit state; checked before any arithmetic.
     NotHermitian
         If the probabilities do not sum to 1 within 1e-10.
     """
+    if not isinstance(state, Ket2):
+        raise DimensionMismatch(f"cannot read {type(state).__name__} with a qubit POVM")
     probs = povm_probabilities(state, povm)
     p0, p1, p2 = probs
     total = p0 + p1 + p2  # sum(probs), written out

@@ -1,4 +1,4 @@
-"""Channel behavior: pulse emission, noise effects, transcript mechanics."""
+"""Channel behavior: photon emission, noise effects, transcript mechanics."""
 
 import hashlib
 import math
@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim import (
+    EveTap,
     Ket2,
     Ket4,
     NoiseModel,
+    PhotonSplitEve,
     PublicTranscript,
-    Pulse,
     Rng,
     SessionConfig,
     apply_unitary,
     b92_alphabet,
     build_povm,
-    emit_pulse,
     flip_state,
     inner,
+    measure_povm,
     measure_projective,
     oblique_alphabet,
     polarization,
@@ -33,6 +34,7 @@ from qkdsim import (
     vh_alphabet,
 )
 from qkdsim.channel import Message
+from qkdsim.errors import DimensionMismatch
 from util import binomial_sigma, rand_ket
 
 VERTICAL = Ket2(1, 0)
@@ -45,45 +47,63 @@ def test_noise_model_validation():
         NoiseModel(loss_p=-0.1)
 
 
-def test_pulse_invariants():
-    with pytest.raises(ValueError):
-        Pulse(0, 0, VERTICAL)
-    with pytest.raises(ValueError):
-        Pulse(0, 2, Ket4(1, 0, 0, 0))
+def test_measure_povm_refuses_a_non_qubit_state():
+    # The B92 receiver reads whatever state the channel delivers: anything
+    # but a qubit is refused before any arithmetic.
+    with pytest.raises(DimensionMismatch):
+        measure_povm(Ket4(1, 0, 0, 0), build_povm(math.pi / 8), Rng(1))
 
 
 def test_emit_single_photon_when_multi_zero():
+    # A splitting tap records exactly the slots the source gave two photons.
     rng = Rng(70)
     noise = NoiseModel()
+    tap = EveTap(PhotonSplitEve(), "bb84", rng)
     for slot in range(1000):
-        pulse = emit_pulse(slot, VERTICAL, noise, rng)
-        assert pulse.photons == 1
-        assert pulse.state is VERTICAL
-        assert pulse.slot == slot
+        assert transmit(slot, VERTICAL, noise, tap, rng) is VERTICAL
+    assert len(tap.record) == 0
 
 
 def test_emit_two_photon_fraction():
     rng = Rng(71)
     noise = NoiseModel(multi_p=1 / 200)
+    tap = EveTap(PhotonSplitEve(), "bb84", rng)
     n = 1_000_000
-    doubles = sum(1 for i in range(n) if emit_pulse(i, VERTICAL, noise, rng).photons == 2)
+    for slot in range(n):
+        transmit(slot, VERTICAL, noise, tap, rng)
+    doubles = len(tap.record)
     assert abs(doubles / n - 0.005) < 0.0005
+
+
+@pytest.mark.parametrize("multi_p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("flip_p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("loss_p", [0.0, 0.5, 1.0])
+def test_transmit_keeps_the_stream_aligned(multi_p, flip_p, loss_p):
+    # Source, flip and loss each take one draw per slot, whatever their odds.
+    n = 500
+    noise = NoiseModel(flip_p=flip_p, loss_p=loss_p, multi_p=multi_p)
+    rng, reference = Rng(79), Rng(79)
+    for slot in range(n):
+        transmit(slot, VERTICAL, noise, None, rng)
+    for _ in range(3 * n):
+        reference.uniform()
+    assert rng._random.__self__.getstate() == reference._random.__self__.getstate()
 
 
 def test_identity_channel():
     rng = Rng(72)
     noise = NoiseModel()
     for _ in range(10_000):
-        pulse = Pulse(3, 1, rand_ket(rng))
-        out = transmit(pulse, noise, None, rng)
-        assert out is pulse
+        state = rand_ket(rng)
+        out = transmit(3, state, noise, None, rng)
+        assert out is state
 
 
 def test_loss_certain():
     rng = Rng(73)
     noise = NoiseModel(loss_p=1.0)
     for _ in range(200):
-        assert transmit(Pulse(0, 1, VERTICAL), noise, None, rng) is None
+        assert transmit(0, VERTICAL, noise, None, rng) is None
 
 
 def test_flip_is_quarter_turn():
@@ -104,9 +124,8 @@ def _matched_basis_error_rate(alphabet, flip_p, n, seed):
     errors = 0
     for slot in range(n):
         bit = rng.coin()
-        pulse = emit_pulse(slot, alphabet.encode(bit), noise, rng)
-        out = transmit(pulse, noise, None, rng)
-        if measure_projective(out.state, alphabet.code_states, rng)[0] != bit:
+        out = transmit(slot, alphabet.encode(bit), noise, None, rng)
+        if measure_projective(out, alphabet.code_states, rng)[0] != bit:
             errors += 1
     return errors / n
 

@@ -19,7 +19,6 @@ from qkdsim import (
     NoiseModel,
     OpaqueEve,
     PhotonSplitEve,
-    Pulse,
     Rng,
     SessionConfig,
     b92_alphabet,
@@ -65,8 +64,8 @@ def _bb84_opaque_run(fraction, n, seed):
 def test_opaque_zero_fraction_is_identity():
     tap = EveTap(OpaqueEve(0.0), "bb84", Rng(80))
     for _ in range(500):
-        pulse = Pulse(0, 1, polarization(0.3))
-        assert tap.apply(pulse) is pulse
+        state = polarization(0.3)
+        assert tap.apply(0, 1, state) is state
     assert len(tap.record) == 0
 
 
@@ -109,9 +108,9 @@ def test_opaque_fraction_out_of_range(fraction):
 
 def test_record_refuses_a_slot_twice():
     tap = EveTap(PhotonSplitEve(), "bb84", Rng(0))
-    tap.apply(Pulse(3, 2, VERTICAL))
+    tap.apply(3, 2, VERTICAL)
     with pytest.raises(ValueError, match="slot 3 already recorded"):
-        tap.apply(Pulse(3, 2, Ket2(0, 1)))
+        tap.apply(3, 2, Ket2(0, 1))
     assert list(tap.record) == [3]
     assert states_equal(tap.record[3], VERTICAL)
 
@@ -185,7 +184,7 @@ def test_tap_is_freed_without_the_cycle_collector(strategy, protocol):
     # keep its record after the session until a full collection, and a run of
     # sessions would pile records up.
     tap = EveTap(strategy, protocol, Rng(0), theta=THETA)
-    tap.apply(Pulse(0, 2, b92_alphabet(THETA).encode(1)))
+    tap.apply(0, 2, b92_alphabet(THETA).encode(1))
     ref = weakref.ref(tap)
     gc.disable()
     try:
@@ -213,14 +212,14 @@ def test_translucent_identity_forwards_unchanged():
     tap = EveTap(identity_translucent(THETA), "b92", Rng(86), theta=THETA)
     alpha = b92_alphabet(THETA)
     for bit in (0, 1):
-        out = tap.apply(Pulse(bit, 1, alpha.encode(bit)))
-        assert states_equal(out.state, alpha.encode(bit), tol=1e-12)
+        out = tap.apply(bit, 1, alpha.encode(bit))
+        assert states_equal(out, alpha.encode(bit), tol=1e-12)
 
 
 def test_translucent_rejects_non_code_state():
     tap = EveTap(translucent_swap_attack(THETA), "b92", Rng(87), theta=THETA)
     with pytest.raises(StateNotInAlphabet):
-        tap.apply(Pulse(0, 1, VERTICAL))
+        tap.apply(0, 1, VERTICAL)
 
 
 def test_translucent_tap_below_tolerance_keeps_the_plus_row():
@@ -232,7 +231,7 @@ def test_translucent_tap_below_tolerance_keeps_the_plus_row():
     assert states_equal(alpha.encode(0), alpha.encode(1))
     tap = EveTap(strategy, "b92", Rng(88), theta=theta)
     for bit in (0, 1):
-        tap.apply(Pulse(bit, 1, alpha.encode(bit)))
+        tap.apply(bit, 1, alpha.encode(bit))
         assert tap.record[bit] is strategy.probe_plus
 
 
@@ -241,9 +240,9 @@ def test_translucent_tap_finds_a_code_state_up_to_phase():
     strategy = translucent_swap_attack(THETA)
     tap = EveTap(strategy, "b92", Rng(89), theta=THETA)
     minus = b92_alphabet(THETA).encode(0)
-    out = tap.apply(Pulse(0, 1, Ket2(-minus.a0, -minus.a1)))
+    out = tap.apply(0, 1, Ket2(-minus.a0, -minus.a1))
     assert tap.record[0] is strategy.probe_minus
-    assert out.state is strategy.out_minus
+    assert out is strategy.out_minus
 
 
 def test_translucent_swap_probe_agreement_matches_helstrom():
@@ -297,10 +296,10 @@ def test_entangling_bob_statistics_match_quadratic_forms():
             float((vec.conj() @ (np.kron(el, eye) @ vec)).real) for el in povm.elements()
         ]
         tap = EveTap(strategy, "b92", Rng(0), theta=THETA)
-        out = tap.apply(Pulse(0, 1, alpha.encode(bit)))
+        out = tap.apply(0, 1, alpha.encode(bit))
         carrier, _ = product_factors(Ket4(*vec))
-        assert isinstance(out.state, Ket2)
-        assert states_equal(out.state, carrier, tol=1e-12)
+        assert isinstance(out, Ket2)
+        assert states_equal(out, carrier, tol=1e-12)
 
     cfg = SessionConfig("b92", 60_000, eve=strategy, seed=89, r_max=1.0)
     rng = Rng(cfg.seed)
@@ -333,25 +332,23 @@ def test_entangling_tap_matches_joint_state_oracle(seed, bit, theta):
     strategy = entangling_swap_attack(theta)
     povm = build_povm(theta)
     tap = EveTap(strategy, "b92", Rng(seed), theta=theta)
-    out = tap.apply(Pulse(0, 1, b92_alphabet(theta).encode(bit)))
+    out = tap.apply(0, 1, b92_alphabet(theta).encode(bit))
     joint = Ket4(*_entangled_joint(strategy, bit))
     want, residual = measure_povm_carrier(joint, povm, Rng(seed))
-    assert measure_povm(out.state, povm, Rng(seed)) == want
+    assert measure_povm(out, povm, Rng(seed)) == want
     assert states_equal(tap.record[0], residual, tol=1e-12)
 
 
 def test_split_leaves_single_photon_pulses_alone():
     tap = EveTap(PhotonSplitEve(), "bb84", Rng(90))
-    pulse = Pulse(5, 1, VERTICAL)
-    assert tap.apply(pulse) is pulse
+    assert tap.apply(5, 1, VERTICAL) is VERTICAL
     assert len(tap.record) == 0
 
 
 def test_split_diverts_one_photon():
     tap = EveTap(PhotonSplitEve(), "bb84", Rng(91))
-    out = tap.apply(Pulse(5, 2, VERTICAL))
-    assert out.photons == 1
-    assert states_equal(out.state, VERTICAL)
+    out = tap.apply(5, 2, VERTICAL)
+    assert states_equal(out, VERTICAL)
     assert states_equal(tap.record[5], VERTICAL)
 
 
@@ -399,7 +396,7 @@ def test_eve_guess_empty_without_entries():
 def test_eve_guess_empty_without_sifting_announcement():
     # Eve holds an outcome, but no sifted slot has been announced yet.
     tap = EveTap(OpaqueEve(1.0), "bb84", Rng(0))
-    tap.apply(Pulse(0, 1, VERTICAL))
+    tap.apply(0, 1, VERTICAL)
     assert len(tap.record) == 1
     assert eve_guess(tap, PublicTranscript()) == {}
 
@@ -479,7 +476,7 @@ def test_b92_opaque_menu_outcomes():
     sure_wrong = 0
     for slot in range(n):
         bit = slot % 2
-        tap.apply(Pulse(slot, 1, alpha.encode(bit)))
+        tap.apply(slot, 1, alpha.encode(bit))
         choice, guess = tap.record[slot]
         # A "definitely not plus" outcome can never follow a plus transmission.
         if choice == "p" and guess == 0 and bit == 1:
