@@ -23,14 +23,14 @@ povm = build_povm(theta)
 
 # Outcome probabilities straight from the quadratic forms.
 for bit in (0, 1):
-    p_zero, p_one, p_inc = povm_probabilities(alpha.encode(bit), povm)
+    p_zero, p_one, p_inc = povm_probabilities(alpha[bit], povm)
     print(f"sent {bit}: P(read 0)={p_zero:.4f}  P(read 1)={p_one:.4f}  P(?)={p_inc:.4f}")
 print(f"conclusive probability 1 - cos(2 theta) = {1 - math.cos(2 * theta):.4f}")
 
 # Sampling agrees, and the forbidden outcome never fires.
 rng = Rng(3)
 draws = 50_000
-outcomes = [measure_povm(alpha.encode(1), povm, rng) for _ in range(draws)]
+outcomes = [measure_povm(alpha[1], povm, rng) for _ in range(draws)]
 print("sampled ONE rate   ", outcomes.count(PovmOutcome.ONE) / draws)
 print("sampled wrong reads", outcomes.count(PovmOutcome.ZERO))
 

@@ -11,7 +11,7 @@ distillation (:mod:`qkdsim.distill`), the one-time pad
 """
 
 from . import errors
-from .alphabets import QuantumAlphabet, b92_alphabet, oblique_alphabet, vh_alphabet
+from .alphabets import BB84_ALPHABETS, b92_alphabet, oblique_alphabet, vh_alphabet
 from .channel import Message, NoiseModel, PublicTranscript, flip_state, transmit
 from .distill import (
     DistillAccounting,

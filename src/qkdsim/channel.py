@@ -27,8 +27,6 @@ import hashlib
 from collections.abc import Callable
 from dataclasses import dataclass
 
-import numpy as np
-
 from .quantum import Ket2
 
 
@@ -59,15 +57,14 @@ class Message:
 
 @dataclass(frozen=True)
 class _Lines:
-    """Messages from one sender under one tag whose payloads are the lines of ``render()``."""
+    """Messages from one sender under one tag, one for each ASCII payload ``render()`` returns."""
 
     sender: str
     tag: str
-    render: Callable[[], bytes]
+    render: Callable[[], list]
 
     def messages(self):
-        payloads = self.render().decode("ascii").split("\n")
-        return [Message(self.sender, self.tag, payload) for payload in payloads[:-1]]
+        return [Message(self.sender, self.tag, payload.decode("ascii")) for payload in self.render()]
 
 
 class PublicTranscript:
@@ -90,28 +87,24 @@ class PublicTranscript:
         self._count += 1
         self._sha.update(msg.line().encode("utf-8"))
 
-    def post_lines(self, sender: str, tag: str, render: Callable[[], bytes]) -> None:
-        """Post one message for each line of ``render()``, the line its payload.
+    def post_lines(self, sender: str, tag: str, render: Callable[[], list]) -> None:
+        """Post one message for each payload of ``render()``.
 
-        ``render()`` returns ASCII text in which every line, the last
-        included, ends in a newline.  It is called here to hash the
-        lines and again each time the messages are read.
+        ``render()`` returns the run's payloads, a list of ASCII
+        ``bytes``.  It is called here to hash the messages' lines and
+        again each time the messages are read.
         """
-        text = render()
-        ends = (2 * np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))).tolist()
-        if not ends:
+        payloads = render()
+        if not payloads:
             return
         self._entries.append(_Lines(sender, tag, render))
-        self._count += len(ends)
-        # A payload's hex is its stretch of the text's hex, which skips the newline's "0a".
-        hexed = memoryview(binascii.hexlify(text))
+        self._count += len(payloads)
+        # Each message's line, as Message.line() gives it.
         head = f"{sender}\t{tag}\t".encode("utf-8")
-        start = 0
-        for end in ends:
+        for payload in payloads:
             self._sha.update(head)
-            self._sha.update(hexed[start:end])
+            self._sha.update(binascii.hexlify(payload))
             self._sha.update(b"\n")
-            start = end + 2
 
     def __iter__(self):
         """Every message in posting order, one entry rendered at a time."""

@@ -35,6 +35,7 @@ know their sizes without unpacking.
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,10 +235,21 @@ class PackedSubsets:
 
     @classmethod
     def pack(cls, subsets, n: int):
-        """One block of rows from plain index lists over ``range(n)``."""
+        """One block of rows from plain index lists over ``range(n)``.
+
+        A ValueError names the subset and the index for an index outside
+        ``range(n)`` or repeated within its subset.
+        """
         rows = np.zeros((len(subsets), n), dtype=bool)
-        for row, subset in zip(rows, subsets):
-            row[list(subset)] = True
+        for number, (row, subset) in enumerate(zip(rows, subsets)):
+            indices = list(subset)
+            if indices and not 0 <= min(indices) <= max(indices) < n:
+                index = next(i for i in indices if not 0 <= i < n)
+                raise ValueError(f"subset {number} holds index {index!r}, outside range({n})")
+            row[indices] = True
+            if np.count_nonzero(row) < len(indices):
+                index = next(i for i, count in Counter(indices).items() if count > 1)
+                raise ValueError(f"subset {number} holds index {index!r} more than once")
         return cls(n, [np.packbits(rows, axis=1)], [np.count_nonzero(rows, axis=1)])
 
     def __len__(self):
@@ -265,7 +277,7 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     with :meth:`PublicTranscript.post_lines`; its payloads are the lines
     of one decimal text of all its rows' indices, which
     :func:`_subset_lines` renders from the block with whole-chunk numpy
-    operations.
+    operations and splits into one payload per row.
 
     Returns
     -------
@@ -302,15 +314,15 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     return final, PackedSubsets(n, blocks, sizes)
 
 
-def _subset_lines(labels, block, sizes) -> bytes:
-    """One decimal line per row of a block: the row's labels, its last one ending the line."""
+def _subset_lines(labels, block, sizes) -> list:
+    """A block's rows as decimal payloads: one text of a line per row, split at the line ends."""
     n = len(labels) // 2
     rows = np.unpackbits(block, axis=1, count=n).view(bool)  # flatnonzero is far faster on bool
     cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
     ends = np.cumsum(sizes)
     gathered = labels.take(cols)
     gathered[ends - 1] = labels.take(cols[ends - 1] + n)
-    return gathered.tobytes().replace(b"\0", b"")
+    return gathered.tobytes().replace(b"\0", b"").split(b"\n")[:-1]
 
 
 def apply_subsets(key, subsets):

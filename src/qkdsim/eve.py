@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
+from .alphabets import BB84_ALPHABETS, b92_alphabet
 from .errors import NotUnitary, StateNotInAlphabet
 from .quantum import Basis, Ket2, inner, measure_projective, states_equal
 from .rng import Rng
@@ -168,7 +168,7 @@ def identity_translucent(theta: float) -> TranslucentEve:
     """The do-nothing unitary coupling: carrier untouched, probe independent of the bit."""
     alpha = b92_alphabet(theta)
     probe = Ket2(1.0, 0.0)
-    return TranslucentEve(theta, alpha.encode(1), alpha.encode(0), probe, probe)
+    return TranslucentEve(theta, alpha[1], alpha[0], probe, probe)
 
 
 def translucent_swap_attack(theta: float) -> TranslucentEve:
@@ -180,7 +180,7 @@ def translucent_swap_attack(theta: float) -> TranslucentEve:
     """
     fixed = Ket2(1.0, 0.0)
     alpha = b92_alphabet(theta)
-    strategy = TranslucentEve(theta, fixed, fixed, alpha.encode(1), alpha.encode(0))
+    strategy = TranslucentEve(theta, fixed, fixed, alpha[1], alpha[0])
     validate_interaction(strategy)
     return strategy
 
@@ -200,8 +200,8 @@ def entangling_swap_attack(theta: float) -> EntanglingEve:
         amp,
         Ket2(1.0, 0.0),
         Ket2(0.0, 1.0),
-        alpha.encode(1),
-        alpha.encode(0),
+        alpha[1],
+        alpha[0],
     )
     validate_interaction(strategy)
     return strategy
@@ -244,11 +244,10 @@ class EveTap:
             self._act = EveTap._apply_opaque
             # (choice, basis) pairs, indexed by the basis coin.
             if protocol == "bb84":
-                self._menu = (("+", vh_alphabet().code_states), ("x", oblique_alphabet().code_states))
+                self._menu = BB84_ALPHABETS
                 self._guess = _guess_opaque_bb84
             else:
-                alpha = b92_alphabet(theta)
-                plus, minus = alpha.encode(1), alpha.encode(0)
+                minus, plus = b92_alphabet(theta)
                 # Outcome index doubles as Eve's bit guess in either basis:
                 # seeing the plus state suggests 1, seeing its orthogonal proves 0,
                 # and symmetrically for the minus-generated basis.
@@ -258,18 +257,17 @@ class EveTap:
         elif isinstance(strategy, PhotonSplitEve):
             self._act = EveTap._apply_split
             if protocol == "bb84":
-                bases = {"+": vh_alphabet().code_states, "x": oblique_alphabet().code_states}
-                self._guess = functools.partial(_guess_stored_bb84, bases)
+                self._guess = functools.partial(_guess_stored_bb84, dict(BB84_ALPHABETS))
             else:
                 # A stored photon is in one of the code states.
-                held = b92_alphabet(theta).code_states
+                held = b92_alphabet(theta)
                 self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         elif is_translucent(strategy, protocol):
             validate_interaction(strategy)
             self._act = EveTap._apply_translucent
             alpha = b92_alphabet(theta)
             # Rows (code state, (forwarded, probe)), plus first: it wins if theta is below tolerance.
-            self._table = tuple((alpha.encode(bit), strategy.coupling[bit]) for bit in (1, 0))
+            self._table = tuple((alpha[bit], strategy.coupling[bit]) for bit in (1, 0))
             # The same rows by the code state's exact amplitudes, which every emitted
             # state carries.  A row equal within tolerance to an earlier one is left
             # out, so a state equal to it still meets the earlier row in the table.

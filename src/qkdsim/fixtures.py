@@ -19,7 +19,7 @@ from .channel import PublicTranscript
 from .otp import bits_from_string, bits_to_string, otp_xor
 from .protocol import Stage1Record, sift_bb84
 
-# Alphabet coin values per slot: 0 = "+", 1 = "x".
+# Alphabet coin values per slot, indexing alphabets.BB84_ALPHABETS (0 = "+", 1 = "x").
 _ALICE_ALPHABETS = [0, 1, 1, 1, 0, 1, 0, 1, 0, 1]
 _ALICE_BITS = [1, 0, 0, 1, 1, 0, 0, 1, 0, 1]
 _BOB_ALPHABETS = [1, 1, 0, 1, 0, 1, 0, 0, 0, 0]

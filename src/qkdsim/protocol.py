@@ -32,7 +32,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .alphabets import b92_alphabet, oblique_alphabet, vh_alphabet
+from .alphabets import BB84_ALPHABETS, b92_alphabet
 from .channel import NoiseModel, PublicTranscript, transmit
 from .distill import apply_subsets, leaked_bits_bound, privacy_amplify, reconcile
 from .errors import EmptySiftedKey, KeyExhausted, RestartRequired
@@ -43,7 +43,6 @@ from .quantum import PovmOutcome, build_povm, measure_povm, measure_projective
 from .quantum import measure_povm_carrier  # noqa: F401
 from .rng import Rng
 
-ALPHABET_CHARS = ("+", "x")  # index = alphabet coin value
 INCONCLUSIVE = PovmOutcome.INCONCLUSIVE
 
 
@@ -93,7 +92,7 @@ class Stage1Record:
     alice_bits: list
     received: list
     bob_bits: list  # None where not received / inconclusive
-    alice_alphabets: list | None = None  # BB84: coin values, 0="+" 1="x"
+    alice_alphabets: list | None = None  # BB84: coin values, indexing alphabets.BB84_ALPHABETS
     bob_alphabets: list | None = None
 
     @property
@@ -141,7 +140,7 @@ def make_tap(cfg: SessionConfig, rng: Rng):
 def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     """Quantum stage of BB84: coin-flipped bits and alphabets, one pulse per slot."""
     # Each alphabet's code states, a Basis checked when it is built, indexed by the alphabet coin.
-    bases = (vh_alphabet().code_states, oblique_alphabet().code_states)
+    bases = tuple(basis for _, basis in BB84_ALPHABETS)
     noise = cfg.noise
     coin = rng.coin
     alice_bits = []
@@ -169,7 +168,7 @@ def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
 
 def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     """Quantum stage of B92: one alphabet, POVM receiver per delivered state."""
-    code_states = b92_alphabet(cfg.theta).code_states
+    alphabet = b92_alphabet(cfg.theta)
     povm = build_povm(cfg.theta)
     noise = cfg.noise
     coin = rng.coin
@@ -179,7 +178,7 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
     for slot in range(cfg.n_pulses):
         bit = coin()
         alice_bits.append(bit)
-        delivered = transmit(slot, code_states[bit], noise, tap, rng)
+        delivered = transmit(slot, alphabet[bit], noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_bits.append(None)
@@ -198,7 +197,7 @@ def sift_bb84(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
     """
     chars = []
     for got, alpha in zip(record.received, record.bob_alphabets):
-        chars.append(ALPHABET_CHARS[alpha] if got else "-")
+        chars.append(BB84_ALPHABETS[alpha][0] if got else "-")
     transcript.post("bob", "alphabets", "".join(chars))
     kept = [
         slot

@@ -50,14 +50,14 @@ class Tap:
         self.record = {}
         if isinstance(strategy, OpaqueEve):
             if protocol == "bb84":
-                self.menu = (("+", tuple(vh_alphabet().code_states)), ("x", tuple(oblique_alphabet().code_states)))
+                self.menu = (("+", tuple(vh_alphabet())), ("x", tuple(oblique_alphabet())))
             else:
                 alpha = b92_alphabet(theta)
-                plus, minus = alpha.encode(1), alpha.encode(0)
+                plus, minus = alpha[1], alpha[0]
                 self.menu = (("m", (minus, minus.orthogonal())), ("p", (plus.orthogonal(), plus)))
         elif not isinstance(strategy, PhotonSplitEve):
             alpha = b92_alphabet(theta)
-            self.table = tuple((alpha.encode(bit), *strategy.coupling[bit]) for bit in (1, 0))
+            self.table = tuple((alpha[bit], *strategy.coupling[bit]) for bit in (1, 0))
 
     def apply(self, slot, photons, state):
         """(photons, state) forwarded for a pulse of ``photons`` in ``state`` at ``slot``."""
@@ -100,7 +100,7 @@ def run_stage1_bb84(cfg, rng, tap) -> Stage1Record:
         alpha = rng.coin()
         alice_bits.append(bit)
         alice_alphas.append(alpha)
-        delivered = _transmit(slot, alphabets[alpha].encode(bit), cfg.noise, tap, rng)
+        delivered = _transmit(slot, alphabets[alpha][bit], cfg.noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_alphas.append(None)
@@ -108,7 +108,7 @@ def run_stage1_bb84(cfg, rng, tap) -> Stage1Record:
             continue
         b_alpha = rng.coin()
         bob_alphas.append(b_alpha)
-        bit_out, _ = measure_projective(delivered, alphabets[b_alpha].code_states, rng)
+        bit_out, _ = measure_projective(delivered, alphabets[b_alpha], rng)
         bob_bits.append(bit_out)
         received.append(True)
     return Stage1Record(alice_bits, received, bob_bits, alice_alphabets=alice_alphas, bob_alphabets=bob_alphas)
@@ -121,7 +121,7 @@ def run_stage1_b92(cfg, rng, tap) -> Stage1Record:
     for slot in range(cfg.n_pulses):
         bit = rng.coin()
         alice_bits.append(bit)
-        delivered = _transmit(slot, alphabet.encode(bit), cfg.noise, tap, rng)
+        delivered = _transmit(slot, alphabet[bit], cfg.noise, tap, rng)
         if delivered is None:
             received.append(False)
             bob_bits.append(None)

@@ -115,7 +115,7 @@ def test_criterion_04_b92_statistics():
     # Closed form from the quadratic-form oracle before sampling.
     povm = build_povm(theta)
     alpha = b92_alphabet(theta)
-    oracle = sum(povm_probabilities(alpha.encode(1), povm)[:2])
+    oracle = sum(povm_probabilities(alpha[1], povm)[:2])
     closed_form = 1 - math.cos(2 * theta)
     assert abs(oracle - closed_form) < 1e-12
 

@@ -124,8 +124,8 @@ def _matched_basis_error_rate(alphabet, flip_p, n, seed):
     errors = 0
     for slot in range(n):
         bit = rng.coin()
-        out = transmit(slot, alphabet.encode(bit), noise, None, rng)
-        if measure_projective(out, alphabet.code_states, rng)[0] != bit:
+        out = transmit(slot, alphabet[bit], noise, None, rng)
+        if measure_projective(out, alphabet, rng)[0] != bit:
             errors += 1
     return errors / n
 
@@ -148,8 +148,8 @@ def test_flip_orthogonality_and_povm_effect_b92():
     alpha = b92_alphabet(t)
     povm = build_povm(t)
     for bit in (0, 1):
-        assert abs(inner(flip_state(alpha.encode(bit)), alpha.encode(bit))) < 1e-12
-    flipped = flip_state(alpha.encode(1))
+        assert abs(inner(flip_state(alpha[bit]), alpha[bit])) < 1e-12
+    flipped = flip_state(alpha[1])
     p_zero, p_one, _ = povm_probabilities(flipped, povm)
     assert p_zero / (p_zero + p_one) == pytest.approx(1 / (1 + math.cos(2 * t) ** 2), abs=1e-12)
 
@@ -242,8 +242,7 @@ def test_transcript_matches_per_message_oracle(posts):
             fast.post(sender, tag, body)
             oracle.post(sender, tag, body)
         else:
-            text = "".join(f"{line}\n" for line in body).encode("ascii")
-            fast.post_lines(sender, tag, lambda text=text: text)
+            fast.post_lines(sender, tag, lambda body=body: [line.encode("ascii") for line in body])
             for line in body:
                 oracle.post(sender, tag, line)
     assert fast.digest() == hashlib.sha256(fast.serialize().encode("utf-8")).hexdigest()

@@ -1,6 +1,7 @@
 """Reconciliation and privacy amplification."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -217,6 +218,18 @@ class TestPrivacyAmplify:
 
     def test_known_subsets_parity(self):
         assert apply_subsets([1, 1, 0, 0], [[0, 1], [2, 3]]) == [0, 0]
+
+    @pytest.mark.parametrize(
+        "subsets, message",
+        [
+            ([[-3]], "subset 0 holds index -3, outside range(3)"),
+            ([[5]], "subset 0 holds index 5, outside range(3)"),
+            ([[0, 0]], "subset 0 holds index 0 more than once"),
+        ],
+    )
+    def test_bad_plain_indices_are_refused(self, subsets, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_subsets([1, 0, 0], subsets)
 
     def test_subsets_of_another_length_are_refused(self):
         # A 3-bit and a 4-bit key pack into the same one byte.

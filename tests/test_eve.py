@@ -31,6 +31,7 @@ from qkdsim import (
     measure_povm,
     measure_povm_carrier,
     polarization,
+    povm_probabilities,
     product_factors,
     run_session,
     run_stage1_bb84,
@@ -39,6 +40,7 @@ from qkdsim import (
     sift_bb84,
     sift_b92,
     states_equal,
+    TranslucentEve,
     translucent_swap_attack,
     validate_interaction,
 )
@@ -128,7 +130,7 @@ def test_validate_rejects_product_form_with_orthogonal_probes():
     # a=1, b=0 with orthogonal probes forces output overlap 0 != cos 2t.
     alpha = b92_alphabet(THETA)
     bad = EntanglingEve(
-        THETA, 1.0, 0.0, alpha.encode(1), alpha.encode(0), Ket2(1, 0), Ket2(0, 1)
+        THETA, 1.0, 0.0, alpha[1], alpha[0], Ket2(1, 0), Ket2(0, 1)
     )
     with pytest.raises(NotUnitary):
         validate_interaction(bad)
@@ -184,7 +186,7 @@ def test_tap_is_freed_without_the_cycle_collector(strategy, protocol):
     # keep its record after the session until a full collection, and a run of
     # sessions would pile records up.
     tap = EveTap(strategy, protocol, Rng(0), theta=THETA)
-    tap.apply(0, 2, b92_alphabet(THETA).encode(1))
+    tap.apply(0, 2, b92_alphabet(THETA)[1])
     ref = weakref.ref(tap)
     gc.disable()
     try:
@@ -212,8 +214,8 @@ def test_translucent_identity_forwards_unchanged():
     tap = EveTap(identity_translucent(THETA), "b92", Rng(86), theta=THETA)
     alpha = b92_alphabet(THETA)
     for bit in (0, 1):
-        out = tap.apply(bit, 1, alpha.encode(bit))
-        assert states_equal(out, alpha.encode(bit), tol=1e-12)
+        out = tap.apply(bit, 1, alpha[bit])
+        assert states_equal(out, alpha[bit], tol=1e-12)
 
 
 def test_translucent_rejects_non_code_state():
@@ -228,10 +230,10 @@ def test_translucent_tap_below_tolerance_keeps_the_plus_row():
     theta = 1e-6
     strategy = translucent_swap_attack(theta)
     alpha = b92_alphabet(theta)
-    assert states_equal(alpha.encode(0), alpha.encode(1))
+    assert states_equal(alpha[0], alpha[1])
     tap = EveTap(strategy, "b92", Rng(88), theta=theta)
     for bit in (0, 1):
-        tap.apply(bit, 1, alpha.encode(bit))
+        tap.apply(bit, 1, alpha[bit])
         assert tap.record[bit] is strategy.probe_plus
 
 
@@ -239,7 +241,7 @@ def test_translucent_tap_finds_a_code_state_up_to_phase():
     # Off the code state's exact amplitudes, the row is found by states_equal.
     strategy = translucent_swap_attack(THETA)
     tap = EveTap(strategy, "b92", Rng(89), theta=THETA)
-    minus = b92_alphabet(THETA).encode(0)
+    minus = b92_alphabet(THETA)[0]
     out = tap.apply(0, 1, Ket2(-minus.a0, -minus.a1))
     assert tap.record[0] is strategy.probe_minus
     assert out is strategy.out_minus
@@ -296,7 +298,7 @@ def test_entangling_bob_statistics_match_quadratic_forms():
             float((vec.conj() @ (np.kron(el, eye) @ vec)).real) for el in povm.elements()
         ]
         tap = EveTap(strategy, "b92", Rng(0), theta=THETA)
-        out = tap.apply(0, 1, alpha.encode(bit))
+        out = tap.apply(0, 1, alpha[bit])
         carrier, _ = product_factors(Ket4(*vec))
         assert isinstance(out, Ket2)
         assert states_equal(out, carrier, tol=1e-12)
@@ -332,11 +334,53 @@ def test_entangling_tap_matches_joint_state_oracle(seed, bit, theta):
     strategy = entangling_swap_attack(theta)
     povm = build_povm(theta)
     tap = EveTap(strategy, "b92", Rng(seed), theta=theta)
-    out = tap.apply(0, 1, b92_alphabet(theta).encode(bit))
+    out = tap.apply(0, 1, b92_alphabet(theta)[bit])
     joint = Ket4(*_entangled_joint(strategy, bit))
     want, residual = measure_povm_carrier(joint, povm, Rng(seed))
     assert measure_povm(out, povm, Rng(seed)) == want
     assert states_equal(tap.record[0], residual, tol=1e-12)
+
+
+_COS_2THETA = math.cos(2 * THETA)
+
+
+@pytest.mark.parametrize(
+    "c_p, seed",
+    [(_COS_2THETA, 93), ((1 + _COS_2THETA) / 2, 94), (1.0, 95)],
+    ids=["swap", "between", "identity"],
+)
+def test_translucent_tradeoff_matches_closed_forms(c_p, seed):
+    # A unitary coupling forwards polarization(+-phi) and leaves probes
+    # polarization(+-psi), with cos 2phi cos 2psi = cos 2theta: the probes'
+    # overlap c_p buys Eve information at the price of Bob's disturbance.
+    psi = math.acos(c_p) / 2
+    phi = math.acos(_COS_2THETA / c_p) / 2
+    strategy = TranslucentEve(THETA, polarization(phi), polarization(-phi), polarization(psi), polarization(-psi))
+    validate_interaction(strategy)
+    povm = build_povm(THETA)
+
+    cfg = SessionConfig("b92", 20_000, eve=strategy, seed=seed, r_max=1.0)
+    rng = Rng(cfg.seed)
+    tap = make_tap(cfg, rng)
+    record = run_stage1_b92(cfg, rng, tap)
+    counts = {0: [0, 0, 0], 1: [0, 0, 0]}
+    for bit, bob_bit in zip(record.alice_bits, record.bob_bits):
+        # Every slot is received; one with no bit was inconclusive (POVM outcome 2).
+        counts[bit][2 if bob_bit is None else bob_bit] += 1
+    for bit in (0, 1):
+        forwarded, _ = strategy.coupling[bit]
+        total = sum(counts[bit])
+        for want, got in zip(povm_probabilities(forwarded, povm), counts[bit]):
+            assert abs(got / total - want) < 3 * binomial_sigma(want, total) + 1e-9
+
+    transcript = PublicTranscript()
+    sift = sift_b92(record, transcript)
+    guesses = eve_guess(tap, transcript)
+    assert sorted(guesses) == sift.slots
+    alice = dict(zip(sift.slots, sift.raw_alice))
+    hits = sum(1 for slot, (bit, _) in guesses.items() if alice[slot] == bit)
+    want = (1 + math.sqrt(1 - c_p**2)) / 2
+    assert abs(hits / len(guesses) - want) < 3 * binomial_sigma(want, len(guesses))
 
 
 def test_split_leaves_single_photon_pulses_alone():
@@ -476,7 +520,7 @@ def test_b92_opaque_menu_outcomes():
     sure_wrong = 0
     for slot in range(n):
         bit = slot % 2
-        tap.apply(slot, 1, alpha.encode(bit))
+        tap.apply(slot, 1, alpha[bit])
         choice, guess = tap.record[slot]
         # A "definitely not plus" outcome can never follow a plus transmission.
         if choice == "p" and guess == 0 and bit == 1:

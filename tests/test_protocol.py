@@ -155,7 +155,7 @@ class TestStage1B92:
         povm = build_povm(t)
         alpha = b92_alphabet(t)
         for bit in (0, 1):
-            probs = povm_probabilities(alpha.encode(bit), povm)
+            probs = povm_probabilities(alpha[bit], povm)
             assert sum(probs[:2]) == pytest.approx(1 - math.cos(2 * t), abs=1e-12)
 
         cfg = SessionConfig("b92", 100_000, seed=125)
@@ -197,7 +197,7 @@ class TestSiftB92:
         theta = math.pi / 8
         alpha = b92_alphabet(theta)
         povm = build_povm(theta)
-        plus, minus = alpha.encode(1), alpha.encode(0)
+        plus, minus = alpha[1], alpha[0]
         menu = {
             "p": (plus.orthogonal(), plus),
             "m": (minus, minus.orthogonal()),
@@ -205,7 +205,7 @@ class TestSiftB92:
         err_mass = 0.0
         conclusive_mass = 0.0
         for a_bit in (0, 1):
-            sent = alpha.encode(a_bit)
+            sent = alpha[a_bit]
             for basis in menu.values():
                 for outcome_state in basis:
                     weight = 0.25 * abs(inner(outcome_state, sent)) ** 2

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qkdsim import SessionConfig, build_document, run_session, strategy_label
+from qkdsim import SessionConfig, build_document, distill, run_session, strategy_label
 from qkdsim.cli import _EVES, _RUN_DEFAULTS, main
 
 EXPECTED_FIELDS = [
@@ -188,18 +188,25 @@ class TestRunCommand:
             assert type(doc[field]) is type(want)
 
     def test_dump_transcript(self, capsys, tmp_path):
-        path = tmp_path / "transcript.log"
-        code, out, _ = run_cli(
-            capsys, ["run", "--n", "300", "--seed", "4", "--dump-transcript", str(path)]
-        )
-        assert code == 0
-        body = path.read_text()
-        assert body
-        for line in body.splitlines():
-            sender, tag, payload_hex = line.split("\t")
-            assert sender in ("alice", "bob")
-            bytes.fromhex(payload_hex)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == json.loads(out)["transcript_digest"]
+        # 300 pulses post amplification's subsets in one chunk, 2000 in several.
+        for n, chunks in (("300", 1), ("2000", 3)):
+            path = tmp_path / f"transcript-{n}.log"
+            code, out, _ = run_cli(
+                capsys, ["run", "--n", n, "--seed", "4", "--dump-transcript", str(path)]
+            )
+            assert code == 0
+            doc = json.loads(out)
+            body = path.read_text()
+            assert body
+            pa_lines = 0
+            for line in body.splitlines():
+                sender, tag, payload_hex = line.split("\t")
+                assert sender in ("alice", "bob")
+                bytes.fromhex(payload_hex)
+                pa_lines += tag == "pa-subset"
+            rows_per_chunk = distill.PA_CHUNK_DRAWS // doc["reconciled_length"]
+            assert math.ceil(pa_lines / rows_per_chunk) == chunks
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == doc["transcript_digest"]
 
     def test_full_interception_signature(self, capsys):
         code, out, _ = run_cli(
