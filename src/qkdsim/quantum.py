@@ -6,7 +6,8 @@ Python complex scalars so the per-pulse hot path (inner products,
 Born-rule draws) avoids numpy call overhead; matrix-level operations go
 through numpy.  The POVM follows the same rule: a :class:`PovmSet`
 reads its element entries into Python complex scalars once, when it is
-built, and each POVM readout works on those.
+built, and the first readout of each state tables the state's outcome
+cut points, which later readouts of it compare one draw with.
 
 Every eavesdropper forwards a :class:`Ket2`, so the engine never builds
 a joint carrier/probe state.  The only joint-state code left, :class:`Ket4`,
@@ -41,7 +42,11 @@ value is built; a check on what changes per call runs on every call.
 * :func:`build_povm` checks each element's Hermiticity and positivity,
   and the set's completeness, once.  :func:`measure_povm` checks on
   every readout that the state is a qubit (``DimensionMismatch``), before
-  any arithmetic, and then that its probabilities sum to 1.
+  any arithmetic.  It checks that a state's probabilities sum to 1 once
+  per distinct state and POVM, when it first reads that state: the
+  check depends only on the amplitudes and the set's fixed entries, so
+  a state that passes once passes on every readout, and one that fails
+  is never tabled and fails on every readout.
 """
 
 import math
@@ -263,7 +268,10 @@ class PovmOutcome(IntEnum):
     INCONCLUSIVE = 2
 
 
-_OUTCOMES = tuple(PovmOutcome)
+_ZERO, _ONE, _INCONCLUSIVE = PovmOutcome
+
+# States a PovmSet tables its outcome cut points for; later states are computed per readout.
+_OUTCOME_TABLE_SIZE = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,13 +282,17 @@ class PovmSet:
     ``a_minus`` only for the minus code state (outcome ZERO), and
     ``a_inconclusive`` absorbs the rest.  The set keeps read-only copies
     of the elements, so the entries it reads once at construction, as
-    Python complex scalars in outcome order, cannot go stale.
+    Python complex scalars in outcome order, cannot go stale.  Nor can
+    ``_cuts``, the outcome table that :func:`measure_povm` fills from
+    them: the cumulative cut points of each state it has read, keyed by
+    the state's exact amplitudes.
     """
 
     a_plus: np.ndarray
     a_minus: np.ndarray
     a_inconclusive: np.ndarray
     _entries: tuple = field(init=False, repr=False)
+    _cuts: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         for name in ("a_plus", "a_minus", "a_inconclusive"):
@@ -370,6 +382,11 @@ def povm_probabilities(state: Ket2, povm: PovmSet):
 def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
     """Sample one POVM outcome; probabilities are the three quadratic forms.
 
+    The first readout of a state tables the cut points that
+    ``rng.pick_weighted`` would accumulate from its probabilities, keyed
+    by its exact amplitudes, and every readout compares one draw with
+    them: the floats and outcomes are those of the quadratic forms.
+
     Raises
     ------
     DimensionMismatch
@@ -379,12 +396,21 @@ def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
     """
     if not isinstance(state, Ket2):
         raise DimensionMismatch(f"cannot read {type(state).__name__} with a qubit POVM")
-    probs = povm_probabilities(state, povm)
-    p0, p1, p2 = probs
-    total = p0 + p1 + p2  # sum(probs), written out
-    if not abs(total - 1.0) <= OPERATOR_TOL:
-        raise NotHermitian(f"POVM probabilities sum to {total!r}")
-    return _OUTCOMES[rng.pick_weighted(probs)]
+    key = (state.a0, state.a1)
+    cuts = povm._cuts.get(key)
+    if cuts is None:
+        p0, p1, p2 = povm_probabilities(state, povm)
+        total = p0 + p1 + p2  # sum(probs), written out
+        if not abs(total - 1.0) <= OPERATOR_TOL:
+            raise NotHermitian(f"POVM probabilities sum to {total!r}")
+        # pick_weighted's running sums; amplitudes that compare equal, such as 0.0 and
+        # -0.0, differ at most in the sign of a zero probability, which 0.0 + absorbs.
+        cut0 = 0.0 + p0
+        cuts = (cut0, cut0 + p1)
+        if len(povm._cuts) < _OUTCOME_TABLE_SIZE:
+            povm._cuts[key] = cuts
+    u = rng.uniform()
+    return _ZERO if u < cuts[0] else _ONE if u < cuts[1] else _INCONCLUSIVE
 
 
 def product_factors(joint: Ket4, tol: float = 1e-8):

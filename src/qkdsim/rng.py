@@ -8,6 +8,11 @@ reproducible for a given seed across versions and platforms.  Every
 helper below (coins, bounded integers, permutations) is built on that
 single primitive, so transcripts replay bit-for-bit anywhere.
 
+A scalar draw, ``rng.uniform()``, is that primitive itself: each
+:class:`Rng` binds its generator's own ``random`` method as the
+instance attribute ``uniform``, so the draws stage 1 makes per pulse go
+through the :class:`Rng` without a Python frame of its own.
+
 :meth:`Rng.uniforms` draws in bulk through numpy: it hands the same
 MT19937 state to the ``numpy.random.RandomState`` that each :class:`Rng`
 keeps, whose ``random_sample`` builds each double from the next two
@@ -25,19 +30,17 @@ import numpy as np
 class Rng:
     """Seeded random stream with the handful of draws the protocols need."""
 
-    __slots__ = ("seed", "_random", "_twister")
+    __slots__ = ("seed", "_random", "uniform", "_twister")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._random = random.Random(self.seed).random
+        # One draw in [0, 1): the generator's bound random(), called with no wrapper frame.
+        self.uniform = self._random
         self._twister = None  # built by the first uniforms(); numpy.random costs ~2 MB to load
 
-    def uniform(self) -> float:
-        """One draw in [0, 1)."""
-        return self._random()
-
     def uniforms(self, k: int) -> np.ndarray:
-        """``k`` draws in [0, 1), the same values ``k`` calls of :meth:`uniform` return.
+        """``k`` draws in [0, 1), the same values ``k`` calls of ``uniform()`` return.
 
         The generator's state goes to this stream's numpy twister and
         comes back advanced, on every call, so the ``random.Random``

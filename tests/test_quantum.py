@@ -37,6 +37,8 @@ from qkdsim.errors import (
     ThetaOutOfRange,
     ZeroVector,
 )
+from qkdsim import quantum
+import oracle
 from util import eig_bounds_2x2, rand_hermitian, rand_ket
 
 VERTICAL = Ket2(1, 0)
@@ -308,7 +310,67 @@ def test_povm_readout_matches_quad_form_oracle(theta, amps, seed, offset):
     assert rng.uniform() == twin.uniform()
 
 
+def _twister_state(rng):
+    return rng._random.__self__.getstate()
+
+
+# Amplitude parts, with both signed zeros drawn often: keys compare -0.0 equal to 0.0.
+_PART = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0)))
+_AMPS = st.tuples(*[_PART] * 4).filter(lambda a: sum(x * x for x in a) > 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    theta=st.floats(0.0, math.pi / 4, exclude_min=True, exclude_max=True),
+    pool=st.lists(_AMPS, min_size=1, max_size=6),
+    picks=st.lists(st.integers(0, 5), max_size=120),
+    seed=st.integers(0, 2**32 - 1),
+)
+# One state read many times.
+@example(theta=math.pi / 8, pool=[(_COS, 0.0, _SIN, 0.0)], picks=[0] * 100, seed=5)
+# Signed-zero variants of the code states and of the basis states, read in turn.
+@example(
+    theta=math.pi / 8,
+    pool=[(_COS, 0.0, _SIN, 0.0), (_COS, -0.0, _SIN, -0.0), (1.0, 0.0, -0.0, 0.0), (1.0, -0.0, 0.0, -0.0)],
+    picks=[0, 1, 2, 3] * 25,
+    seed=6,
+)
+@example(theta=math.pi / 8, pool=[(0.0, 0.0, 1.0, 0.0), (-0.0, -0.0, 1.0, 0.0)], picks=[1, 0] * 40, seed=7)
+def test_measure_povm_matches_oracle(theta, pool, picks, seed):
+    # Each read builds a fresh Ket2, so a repeated pick is an equal state, not the same object.
+    povm = build_povm(theta)
+    rng, twin = Rng(seed), Rng(seed)
+    for i in picks:
+        re0, im0, re1, im1 = pool[i % len(pool)]
+        state = Ket2(complex(re0, im0), complex(re1, im1))
+        assert measure_povm(state, povm, rng) is oracle.measure_povm(state, povm, twin)
+    assert _twister_state(rng) == _twister_state(twin)
+
+
+def test_measure_povm_matches_oracle_past_the_table_limit():
+    povm = build_povm(math.pi / 8)
+    states = [polarization(k * math.pi / 200) for k in range(3 * quantum._OUTCOME_TABLE_SIZE)]
+    rng, twin = Rng(31), Rng(31)
+    for _ in range(3):
+        for state in states:
+            assert measure_povm(state, povm, rng) is oracle.measure_povm(state, povm, twin)
+    assert _twister_state(rng) == _twister_state(twin)
+    assert len(povm._cuts) == quantum._OUTCOME_TABLE_SIZE
+
+
 class TestMeasurePovm:
+    def test_incomplete_set_raises_on_every_readout_and_is_never_tabled(self):
+        # Built directly, so no completeness check ran: every outcome sums to 1.1.
+        ref = build_povm(math.pi / 8)
+        povm = PovmSet(ref.a_plus, ref.a_minus, ref.a_inconclusive + 0.1 * np.eye(2))
+        rng = Rng(13)
+        before = _twister_state(rng)
+        for _ in range(2):
+            with pytest.raises(NotHermitian):
+                measure_povm(DIAG, povm, rng)
+        assert povm._cuts == {}
+        assert _twister_state(rng) == before
+
     def test_nan_element_rejected(self):
         ref = build_povm(math.pi / 8)
         bad = np.array(ref.a_inconclusive)

@@ -36,17 +36,42 @@ def test_uniforms_match_single_draws(seed, offset, k):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
-    draws=st.lists(st.one_of(st.none(), st.integers(0, 1500)), max_size=12),
+    draws=st.lists(
+        st.one_of(
+            st.just(("uniform", None)),
+            st.just(("coin", None)),
+            st.tuples(st.just("below"), st.integers(1, 10**9)),
+            st.tuples(st.just("uniforms"), st.integers(0, 1500)),
+        ),
+        max_size=24,
+    ),
 )
 def test_interleaved_draws_follow_one_stream_and_one_twister(seed, draws):
-    # None is one scalar draw, k a bulk draw of k; both read one sequence.
+    # uniform, coin and below read one random() each, uniforms(k) k of them: all one sequence.
     rng, plain = Rng(seed), random.Random(seed)
     twisters = []
-    for k in draws:
-        if k is None:
+    for name, arg in draws:
+        if name == "uniform":
             assert rng.uniform() == plain.random()
+        elif name == "coin":
+            assert rng.coin() == (1 if plain.random() < 0.5 else 0)
+        elif name == "below":
+            assert rng.below(arg) == min(int(plain.random() * arg), arg - 1)
         else:
-            assert rng.uniforms(k).tolist() == [plain.random() for _ in range(k)]
+            assert rng.uniforms(arg).tolist() == [plain.random() for _ in range(arg)]
             twisters.append(rng._twister)
     assert rng._random.__self__.getstate() == plain.getstate()
     assert all(twister is twisters[0] for twister in twisters)
+
+
+def test_uniform_survives_a_slotted_subclass():
+    # The shape of a subclass that wraps __init__, such as the benchmark tracer's.
+    class Wrapped(Rng):
+        __slots__ = ()
+
+        def __init__(self, seed):
+            super().__init__(seed)
+
+    rng, plain = Wrapped(77), random.Random(77)
+    assert [rng.uniform() for _ in range(1000)] == [plain.random() for _ in range(1000)]
+    assert rng.uniform.__self__ is rng._random.__self__
