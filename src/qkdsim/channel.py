@@ -18,13 +18,14 @@ log that every party -- including the eavesdropper -- can read.  It
 hashes each message's serialized line as the message is posted, so its
 digest costs nothing at the end of a session.  A run of messages posted
 together, such as privacy amplification's subsets, is kept as the
-function that renders their payloads and is rendered again only when
-the messages are read.
+function that renders their payloads' hex: the transcript hashes that
+hex as it is posted, and unhexlifies it into messages each time they
+are read, so their decimal payloads exist only in those reads.
 """
 
 import binascii
 import hashlib
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .quantum import Ket2
@@ -57,14 +58,15 @@ class Message:
 
 @dataclass(frozen=True)
 class _Lines:
-    """Messages from one sender under one tag, one for each ASCII payload ``render()`` returns."""
+    """Messages from one sender under one tag, one for each payload whose hex ``hexed()`` yields."""
 
     sender: str
     tag: str
-    render: Callable[[], list]
+    hexed: Callable[[], Iterable]
 
     def messages(self):
-        return [Message(self.sender, self.tag, payload.decode("ascii")) for payload in self.render()]
+        text = (binascii.unhexlify(b"".join(parts)).decode("ascii") for parts in self.hexed())
+        return [Message(self.sender, self.tag, payload) for payload in text]
 
 
 class PublicTranscript:
@@ -72,7 +74,7 @@ class PublicTranscript:
 
     An entry is one :class:`Message`, or a run of messages posted by
     :meth:`post_lines` that keeps only the function rendering their
-    payloads.  A running SHA-256 takes each message's serialized line
+    payloads' hex.  A running SHA-256 takes each message's serialized line
     when it is posted, so :meth:`digest` renders nothing.
     """
 
@@ -87,24 +89,23 @@ class PublicTranscript:
         self._count += 1
         self._sha.update(msg.line().encode("utf-8"))
 
-    def post_lines(self, sender: str, tag: str, render: Callable[[], list]) -> None:
-        """Post one message for each payload of ``render()``.
+    def post_lines(self, sender: str, tag: str, hexed: Callable[[], Iterable]) -> None:
+        """Post one message for each payload whose hex ``hexed()`` yields.
 
-        ``render()`` returns the run's payloads, a list of ASCII
-        ``bytes``.  It is called here to hash the messages' lines and
-        again each time the messages are read.
+        ``hexed()`` yields each message in turn as the parts of its
+        payload's hex, bytes-like slices of the hex of an ASCII payload.
+        It is called here to hash the messages' lines and again each
+        time the messages are read.  A run of no messages posts nothing.
         """
-        payloads = render()
-        if not payloads:
-            return
-        self._entries.append(_Lines(sender, tag, render))
-        self._count += len(payloads)
-        # Each message's line, as Message.line() gives it.
-        head = f"{sender}\t{tag}\t".encode("utf-8")
-        for payload in payloads:
+        head, count = f"{sender}\t{tag}\t".encode("utf-8"), 0  # each line as Message.line() gives it
+        for count, parts in enumerate(hexed(), 1):
             self._sha.update(head)
-            self._sha.update(binascii.hexlify(payload))
+            for part in parts:
+                self._sha.update(part)
             self._sha.update(b"\n")
+        if count:
+            self._entries.append(_Lines(sender, tag, hexed))
+            self._count += count
 
     def __iter__(self):
         """Every message in posting order, one entry rendered at a time."""

@@ -25,9 +25,10 @@ one block of ``np.packbits`` rows, ``ceil(n / 8)`` bytes each, beside
 the rows' sizes.  Both parties' parities come from the blocks: a row
 ANDed with the packed key, XOR-folded to one byte, and looked up in a
 256-entry parity table.  The chunk is posted as one transcript entry
-that keeps only its block, its sizes and the shared table of decimal
-labels; its ``pa-subset`` payloads, one line of labels per row, are
-rendered from them when the transcript hashes or reads them.  The
+that keeps only its block and the hex label tables, one per decimal
+width; the hex of its ``pa-subset`` payloads, one line of labels per
+row, is gathered from them whenever the transcript hashes or reads it,
+and only a read unhexlifies it into decimal text.  The
 blocks are thus the only copy of the subsets, and
 :class:`PackedSubsets` hands them out as :class:`SubsetRow` views that
 know their sizes without unpacking.
@@ -274,10 +275,7 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     Rows are drawn in chunks of at most the rows still wanted, so the
     stream stops right after the last accepted subset.  Each chunk's
     accepted rows are packed into one block, and the chunk is posted
-    with :meth:`PublicTranscript.post_lines`; its payloads are the lines
-    of one decimal text of all its rows' indices, which
-    :func:`_subset_lines` renders from the block with whole-chunk numpy
-    operations and splits into one payload per row.
+    with :meth:`PublicTranscript.post_lines` and :func:`_subset_hex`.
 
     Returns
     -------
@@ -295,8 +293,12 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     if m < 1:
         raise KeyExhausted(f"n - k - s = {n} - {k} - {s} leaves no key")
     packed_key = np.packbits(np.asarray(key, dtype=bool))
-    # Label i is "i," inside a row and label n + i is "i\n" at a row's end; NUL-padded.
-    labels = np.concatenate([np.array([f"{i}{c}" for i in range(n)], dtype="S") for c in ",\n"])
+    # (lo, hi, table) per decimal width: table[i - lo] is the hex of f"{i},"; one width, so no NUL padding.
+    bounds = [0, *(10**width for width in range(1, len(str(n - 1)))), n]
+    labels = [
+        (lo, hi, np.array([f"{i},".encode().hex() for i in range(lo, hi)], dtype="S"))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
     rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
     blocks, sizes = [], []
     final = []
@@ -308,21 +310,34 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
         block = np.packbits(rows[kept], axis=1)
         row_sizes = row_sizes[kept]
         final.extend(_parities(block, packed_key))
-        transcript.post_lines("alice", "pa-subset", functools.partial(_subset_lines, labels, block, row_sizes))
+        transcript.post_lines("alice", "pa-subset", functools.partial(_subset_hex, labels, block))
         blocks.append(block)
         sizes.append(row_sizes)
     return final, PackedSubsets(n, blocks, sizes)
 
 
-def _subset_lines(labels, block, sizes) -> list:
-    """A block's rows as decimal payloads: one text of a line per row, split at the line ends."""
-    n = len(labels) // 2
-    rows = np.unpackbits(block, axis=1, count=n).view(bool)  # flatnonzero is far faster on bool
-    cols = np.flatnonzero(rows).astype(np.int32) % np.int32(n)
-    ends = np.cumsum(sizes)
-    gathered = labels.take(cols)
-    gathered[ends - 1] = labels.take(cols[ends - 1] + n)
-    return gathered.tobytes().replace(b"\0", b"").split(b"\n")[:-1]
+def _subset_hex(labels, block):
+    """Each row's payload hex: memoryview slices, in width order, of one gathered buffer per label width.
+
+    The comma, ``2c``, that ends a row's last label is left out.
+    """
+    rows = np.unpackbits(block, axis=1, count=labels[-1][1]).view(bool)  # flatnonzero is far faster on bool
+    views, cuts = [], []
+    last = np.zeros(len(rows), dtype=np.intp)  # the width of each row's last label
+    for width, (lo, hi, table) in enumerate(labels):
+        part = rows[:, lo:hi]
+        count = np.count_nonzero(part, axis=1)
+        cols = np.flatnonzero(part)
+        cols -= np.repeat(np.arange(0, part.size, hi - lo), count)  # in place, to hold one index array less
+        views.append(memoryview(table.take(cols).view(np.uint8)))
+        ends = np.cumsum(count) * table.itemsize
+        cuts.append((ends - count * table.itemsize, ends))
+        last[count > 0] = width
+    for width, (_, ends) in enumerate(cuts):
+        ends[last == width] -= 2
+    cuts = [zip(starts.tolist(), ends.tolist()) for starts, ends in cuts]
+    for row in zip(*cuts):
+        yield [view[start:end] for view, (start, end) in zip(views, row)]
 
 
 def apply_subsets(key, subsets):

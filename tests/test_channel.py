@@ -233,6 +233,18 @@ _POSTS = st.lists(
 )
 
 
+def _hexed(lines):
+    """A renderer for post_lines: each line's hex, cut in two at a byte boundary."""
+
+    def hexed():
+        for line in lines:
+            text = memoryview(line.encode("ascii").hex().encode("ascii"))
+            cut = len(text) // 4 * 2
+            yield [text[:cut], text[cut:]]
+
+    return hexed
+
+
 @settings(max_examples=200, deadline=None)
 @given(posts=_POSTS)
 def test_transcript_matches_per_message_oracle(posts):
@@ -242,7 +254,7 @@ def test_transcript_matches_per_message_oracle(posts):
             fast.post(sender, tag, body)
             oracle.post(sender, tag, body)
         else:
-            fast.post_lines(sender, tag, lambda body=body: [line.encode("ascii") for line in body])
+            fast.post_lines(sender, tag, _hexed(body))
             for line in body:
                 oracle.post(sender, tag, line)
     assert fast.digest() == hashlib.sha256(fast.serialize().encode("utf-8")).hexdigest()
@@ -253,3 +265,33 @@ def test_transcript_matches_per_message_oracle(posts):
     for sender in ("alice", "bob"):
         for tag in ("kept", "parity", "pa-subset", "abort"):
             assert fast.find(sender, tag) == oracle.find(sender, tag)
+
+
+def test_post_lines_renders_once_per_post_and_per_read():
+    renders = []
+
+    def hexed():
+        renders.append("chunk")
+        yield [b"312c", b"32"]  # "1,2"
+        yield [b"33"]  # "3"
+
+    def nothing():
+        renders.append("empty")
+        return iter(())
+
+    t = PublicTranscript()
+    t.post_lines("alice", "pa-subset", hexed)
+    assert renders == ["chunk"] and len(t) == 2
+    lines = b"alice\tpa-subset\t312c32\nalice\tpa-subset\t33\n"
+    assert t.digest() == hashlib.sha256(lines).hexdigest()
+    assert renders == ["chunk"]
+    # A renderer that yields no message posts no entry and hashes nothing.
+    t.post_lines("bob", "pa-subset", nothing)
+    assert renders == ["chunk", "empty"] and len(t) == 2
+    assert t.digest() == hashlib.sha256(lines).hexdigest()
+    assert [msg.payload for msg in t] == ["1,2", "3"]
+    assert renders == ["chunk", "empty", "chunk"]
+    assert t.serialize().encode("utf-8") == lines
+    assert t.find("alice", "pa-subset") == Message("alice", "pa-subset", "1,2")
+    assert t.find("bob", "pa-subset") is None
+    assert renders == ["chunk", "empty", "chunk", "chunk", "chunk"]

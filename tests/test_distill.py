@@ -1,5 +1,6 @@
 """Reconciliation and privacy amplification."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -299,9 +300,9 @@ class TestPrivacyAmplify:
         assert peak - retained <= 6 * 2**20
 
     def test_retained_memory_is_the_packed_rows(self):
-        # The transcript keeps each chunk's block of packed rows and
-        # their sizes, which the subsets read too, and renders its
-        # payloads from them when read.
+        # The transcript keeps each chunk's block of packed rows, which
+        # the subsets read too, and the hex label tables, and renders
+        # its payloads from them when read.
         key = _random_bits(Rng(115), 3400)
         transcript = PublicTranscript()
         tracemalloc.start()
@@ -344,6 +345,15 @@ class TestPrivacyAmplify:
 @example(seed=31, offset=0, case=([1, 0, 0] * 334, [0, 1] * 501, 980, 8), chunk_draws=1)
 @example(seed=32, offset=7, case=([0, 1, 1, 0] * 275, [1] * 1100, 1000, 40), chunk_draws=5000)
 @example(seed=33, offset=2, case=([1] * 1001, [0, 1, 1] * 333 + [1, 0], 990, 0), chunk_draws=2500)
+# Keys of 9, 10, 11, 99, 100 and 101 bits: their last index sits on either side of a label-width boundary.
+@example(seed=34, offset=0, case=([1, 0, 1] * 3, [0] * 9, 1, 2), chunk_draws=20)
+@example(seed=35, offset=1, case=([0, 1] * 5, [1] * 10, 2, 1), chunk_draws=distill.PA_CHUNK_DRAWS)
+@example(seed=36, offset=0, case=([1] * 11, [0, 1] * 5 + [1], 0, 0), chunk_draws=30)
+@example(seed=37, offset=4, case=([1, 1, 0] * 33, [0, 1, 0] * 33, 60, 9), chunk_draws=250)
+@example(seed=38, offset=0, case=([0, 1] * 50, [1, 0, 0, 1] * 25, 70, 5), chunk_draws=distill.PA_CHUNK_DRAWS)
+@example(seed=39, offset=2, case=([1] * 101, [0, 1] * 50 + [0], 81, 3), chunk_draws=101)
+# A 10,001-bit key draws three rows of five-digit labels after shorter ones.
+@example(seed=40, offset=0, case=([1, 0] * 5000 + [1], [0, 1, 1] * 3333 + [0, 1], 9998, 0), chunk_draws=10_001)
 def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
     key, other, k, s = case
     fast_rng, oracle_rng = Rng(seed), Rng(seed)
@@ -357,6 +367,8 @@ def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
     want_final, want_subsets = _scalar_privacy_amplify(key, k, s, oracle_rng, oracle_t)
     assert final == want_final
     assert [m.payload for m in fast_t] == [m.payload for m in oracle_t]
+    # The hashed lines and the lines read come from the same rendering of the rows.
+    assert fast_t.digest() == oracle_t.digest() == hashlib.sha256(fast_t.serialize().encode("utf-8")).hexdigest()
     assert [list(subset) for subset in subsets] == want_subsets
     assert fast_rng.uniform() == oracle_rng.uniform()
     want_parities = [_parity(other, subset) for subset in want_subsets]
