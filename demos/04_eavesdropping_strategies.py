@@ -41,7 +41,7 @@ for fraction in (0.25, 0.5, 1.0):
 # into a probe.  The swap variant erases the carrier entirely, which is
 # why the receiver's conclusive bits turn to coin flips.
 strategy = translucent_swap_attack(theta)
-validate_interaction(strategy)  # raises if the coupling could not be unitary
+validate_interaction(strategy)  # passes: the strategy ran this unitarity check when it was built
 describe("translucent swap (b92)", SessionConfig("b92", 10_000, eve=strategy, r_max=1.0, seed=3))
 print(f"  (probe readout ceiling: (1 + sin 2 theta)/2 = {(1 + math.sin(2 * theta)) / 2:.4f})")
 

@@ -20,8 +20,10 @@ the code bit, which the tap, the unitarity check and Eve's probe
 measurement all read.
 
 Translucent parameters are user-supplied and validated for unitarity
-(:func:`validate_interaction`) rather than optimized: the attack family
-is the model, not any particular "best" attack.  Eve defers all probe
+rather than optimized: the attack family is the model, not any
+particular "best" attack.  Both translucent forms run
+:func:`validate_interaction` when they are built, so a strategy that
+exists is a valid one.  Eve defers all probe
 and stored-photon measurements until the public transcript has revealed
 sifting, which can only help her; :func:`eve_guess` performs those
 measurements and therefore needs nothing but her tap and the
@@ -71,6 +73,7 @@ class TranslucentEve:
 
     ``out_plus``/``out_minus`` are the forwarded carrier states,
     ``probe_plus``/``probe_minus`` the probe states left behind.
+    Raises ``NotUnitary`` when built unless the coupling could be unitary.
     """
 
     label: ClassVar[str] = "translucent"
@@ -79,6 +82,9 @@ class TranslucentEve:
     out_minus: Ket2
     probe_plus: Ket2
     probe_minus: Ket2
+
+    def __post_init__(self):
+        validate_interaction(self)
 
     @property
     def coupling(self):
@@ -92,7 +98,8 @@ class EntanglingEve:
 
     The plus code state is forwarded as ``(a |out+> + b |out->)`` with
     probe state ``probe_plus``; the minus code state as
-    ``(b |out+> + a |out->)`` with ``probe_minus``.
+    ``(b |out+> + a |out->)`` with ``probe_minus``.  Raises
+    ``NotUnitary`` when built unless the coupling could be unitary.
     """
 
     label: ClassVar[str] = "entangle"
@@ -103,6 +110,9 @@ class EntanglingEve:
     out_minus: Ket2
     probe_plus: Ket2
     probe_minus: Ket2
+
+    def __post_init__(self):
+        validate_interaction(self)
 
     def carriers(self):
         """Forwarded carrier vectors before normalisation, indexed by the code bit."""
@@ -180,9 +190,7 @@ def translucent_swap_attack(theta: float) -> TranslucentEve:
     """
     fixed = Ket2(1.0, 0.0)
     alpha = b92_alphabet(theta)
-    strategy = TranslucentEve(theta, fixed, fixed, alpha[1], alpha[0])
-    validate_interaction(strategy)
-    return strategy
+    return TranslucentEve(theta, fixed, fixed, alpha[1], alpha[0])
 
 
 def entangling_swap_attack(theta: float) -> EntanglingEve:
@@ -194,17 +202,7 @@ def entangling_swap_attack(theta: float) -> EntanglingEve:
     """
     amp = math.sqrt(0.5)
     alpha = b92_alphabet(theta)
-    strategy = EntanglingEve(
-        theta,
-        amp,
-        amp,
-        Ket2(1.0, 0.0),
-        Ket2(0.0, 1.0),
-        alpha[1],
-        alpha[0],
-    )
-    validate_interaction(strategy)
-    return strategy
+    return EntanglingEve(theta, amp, amp, Ket2(1.0, 0.0), Ket2(0.0, 1.0), alpha[1], alpha[0])
 
 
 class EveTap:
@@ -223,10 +221,10 @@ class EveTap:
     by which :func:`eve_guess` turns an entry into a guess.  There is no
     tap for :class:`NoEve`; ``protocol.make_tap`` builds none.
 
-    Every check on a fixed value runs once, here: a translucent
-    coupling's unitarity (:func:`validate_interaction`), and the
-    orthogonality of the opaque tap's measurement bases and of the
-    Helstrom basis, each built as a :class:`~qkdsim.quantum.Basis`.  Per
+    Every check on a fixed value runs once, when the value is built: a
+    translucent strategy checks its coupling's unitarity, and the opaque
+    tap's measurement bases and the Helstrom basis, each built here as a
+    :class:`~qkdsim.quantum.Basis`, check their orthogonality.  Per
     slot, the translucent tap looks its row up by the incoming state's
     exact amplitudes, which every emitted code state carries.  Any other
     state is matched by ``states_equal``, plus row first, and one that
@@ -263,7 +261,6 @@ class EveTap:
                 held = b92_alphabet(theta)
                 self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         elif is_translucent(strategy, protocol):
-            validate_interaction(strategy)
             self._act = EveTap._apply_translucent
             alpha = b92_alphabet(theta)
             # Rows (code state, (forwarded, probe)), plus first: it wins if theta is below tolerance.

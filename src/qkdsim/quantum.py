@@ -4,10 +4,9 @@ States are unit vectors over the complex numbers (:class:`Ket2`), and
 operators are plain 2x2 complex numpy arrays.  Amplitudes are kept as
 Python complex scalars so the per-pulse hot path (inner products,
 Born-rule draws) avoids numpy call overhead; matrix-level operations go
-through numpy.  The POVM follows the same rule: a :class:`PovmSet`
-reads its element entries into Python complex scalars once, when it is
-built, and the first readout of each state tables the state's outcome
-cut points, which later readouts of it compare one draw with.
+through numpy.  The POVM follows the same rule: the first readout of
+each state tables the state's outcome cut points, which later readouts
+of it compare one draw with.
 
 Every eavesdropper forwards a :class:`Ket2`, so the engine never builds
 a joint carrier/probe state.  The only joint-state code left, :class:`Ket4`,
@@ -25,8 +24,9 @@ Conventions
   in a fixed order (bit 0 before bit 1; ZERO, ONE, INCONCLUSIVE), so
   equal seeds give identical outcome sequences.
 * Tolerances: 1e-12 on state norms, 1e-10 on unitarity, Hermiticity and
-  positivity.  Double precision on these tiny matrices is far better
-  than either bound.  Checks read ``not defect <= TOL``, so NaN fails.
+  positivity, and 5e-11 on a POVM's completeness.  Double precision on
+  these tiny matrices is far better than any of these bounds.  Checks
+  read ``not defect <= TOL``, so NaN fails.
 
 Where the checks run
 --------------------
@@ -35,18 +35,18 @@ value is built; a check on what changes per call runs on every call.
 
 * :class:`Ket2` normalizes, and refuses a zero or non-finite pair, when
   it is built.
-* :class:`Basis` checks that its pair is two orthogonal :class:`Ket2`
-  when it is built.  :func:`measure_projective` trusts a ``Basis`` and
-  checks any other pair on every call, as ``BadBasis``, before it checks
-  that the measured state is a qubit (``DimensionMismatch``).
-* :func:`build_povm` checks each element's Hermiticity and positivity,
-  and the set's completeness, once.  :func:`measure_povm` checks on
-  every readout that the state is a qubit (``DimensionMismatch``), before
-  any arithmetic.  It checks that a state's probabilities sum to 1 once
-  per distinct state and POVM, when it first reads that state: the
-  check depends only on the amplitudes and the set's fixed entries, so
-  a state that passes once passes on every readout, and one that fails
-  is never tabled and fails on every readout.
+* :class:`Basis` holds the only orthogonality check, run when it is
+  built.  :func:`measure_projective` trusts a ``Basis`` and builds one
+  from any other pair on every call, so that pair fails as ``BadBasis``
+  before the measured state is checked (``DimensionMismatch``).
+* :class:`PovmSet` checks the set's completeness and each element's
+  Hermiticity and positivity when it is built, refusing a non-finite
+  entry first.  Each entry of the elements' sum may differ from the
+  identity by at most 5e-11, and a 2x2 quadratic form is at most twice
+  its largest entry, so every unit state's probabilities sum to 1
+  within 1e-10.  :func:`measure_povm` therefore checks on every readout
+  only that the state is a qubit (``DimensionMismatch``), before any
+  arithmetic.
 """
 
 import math
@@ -175,6 +175,12 @@ def _hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T)))
 
 
+def _completeness_defect(elements) -> float:
+    if not all(np.isfinite(el).all() for el in elements):
+        return math.inf
+    return float(np.max(np.abs(sum(elements) - np.eye(2))))
+
+
 def apply_unitary(mat: np.ndarray, state: Ket2) -> Ket2:
     """Evolve a qubit state by a 2x2 unitary matrix.
 
@@ -197,15 +203,6 @@ def apply_unitary(mat: np.ndarray, state: Ket2) -> Ket2:
     return Ket2(mat[0, 0] * a0 + mat[0, 1] * a1, mat[1, 0] * a0 + mat[1, 1] * a1)
 
 
-def _check_basis(basis):
-    b0, b1 = basis
-    if not (isinstance(b0, Ket2) and isinstance(b1, Ket2)):
-        raise BadBasis("basis must be a pair of qubit states")
-    if not abs(inner(b0, b1)) <= OPERATOR_TOL:
-        raise BadBasis(f"basis states are not orthogonal: |<b0|b1>| = {abs(inner(b0, b1)):.3e}")
-    return b0, b1
-
-
 class Basis(tuple):
     """Orthonormal pair of qubit states, indexed by bit label, checked once when built.
 
@@ -222,7 +219,11 @@ class Basis(tuple):
     __slots__ = ()
 
     def __new__(cls, b0: Ket2, b1: Ket2):
-        return super().__new__(cls, _check_basis((b0, b1)))
+        if not (isinstance(b0, Ket2) and isinstance(b1, Ket2)):
+            raise BadBasis("basis must be a pair of qubit states")
+        if not abs(inner(b0, b1)) <= OPERATOR_TOL:
+            raise BadBasis(f"basis states are not orthogonal: |<b0|b1>| = {abs(inner(b0, b1)):.3e}")
+        return super().__new__(cls, (b0, b1))
 
     def __getnewargs__(self):
         return tuple(self)
@@ -236,7 +237,8 @@ def measure_projective(state: Ket2, basis, rng):
     basis : Basis or (Ket2, Ket2)
         Basis states indexed by their bit label: ``basis[b]`` is the
         state reported as outcome ``b``.  A :class:`Basis` was checked
-        when it was built; any other pair is checked on every call.
+        when it was built; any other pair is built into one, and so
+        checked, on every call.
     rng : Rng
         Source for the single Born-rule draw.
 
@@ -249,11 +251,11 @@ def measure_projective(state: Ket2, basis, rng):
     Raises
     ------
     BadBasis
-        If a pair that is not a :class:`Basis` fails the basis check.
+        If a pair that is not a :class:`Basis` is not one.
     DimensionMismatch
         Unless ``state`` is a qubit state.
     """
-    b0, b1 = basis if isinstance(basis, Basis) else _check_basis(basis)
+    b0, b1 = basis if isinstance(basis, Basis) else Basis(*basis)
     if not isinstance(state, Ket2):
         raise DimensionMismatch(f"cannot pair {type(b0).__name__} with {type(state).__name__}")
     # inner(b0, state), written out.
@@ -281,17 +283,22 @@ class PovmSet:
     ``a_plus`` fires only for the plus code state (outcome ONE),
     ``a_minus`` only for the minus code state (outcome ZERO), and
     ``a_inconclusive`` absorbs the rest.  The set keeps read-only copies
-    of the elements, so the entries it reads once at construction, as
-    Python complex scalars in outcome order, cannot go stale.  Nor can
+    of the elements, so the checks it runs on them when it is built, and
     ``_cuts``, the outcome table that :func:`measure_povm` fills from
-    them: the cumulative cut points of each state it has read, keyed by
-    the state's exact amplitudes.
+    them, cannot go stale: the table holds the cumulative cut points of
+    each state it has read, keyed by the state's exact amplitudes.
+
+    Raises
+    ------
+    NotHermitian
+        If an entry is not finite, if the elements' sum differs from the
+        identity by more than 5e-11 in any entry, or if an element is not
+        Hermitian or not positive semidefinite within 1e-10.
     """
 
     a_plus: np.ndarray
     a_minus: np.ndarray
     a_inconclusive: np.ndarray
-    _entries: tuple = field(init=False, repr=False)
     _cuts: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -299,8 +306,15 @@ class PovmSet:
             mat = np.array(getattr(self, name), dtype=complex)
             mat.flags.writeable = False
             object.__setattr__(self, name, mat)
-        entries = tuple(tuple(complex(z) for z in el.flat) for el in self.elements())
-        object.__setattr__(self, "_entries", entries)
+        completeness = _completeness_defect(self.elements())
+        # Half the tolerance: a unit state's probabilities then sum to 1 within it.
+        if not completeness <= OPERATOR_TOL / 2:
+            raise NotHermitian(f"POVM completeness defect {completeness:.3e}")
+        for el in self.elements():
+            if not _hermiticity_defect(el) <= OPERATOR_TOL:
+                raise NotHermitian("POVM element is not Hermitian")
+            if not _positivity_defect(el) <= OPERATOR_TOL:
+                raise NotHermitian("POVM element is not positive semidefinite")
 
     def elements(self):
         """Elements in outcome order: ZERO, ONE, INCONCLUSIVE."""
@@ -349,34 +363,12 @@ def build_povm(theta: float) -> PovmSet:
     proj_minus = np.outer(minus.vec, minus.vec.conj())
     a_plus = (eye - proj_minus) / (1.0 + overlap)
     a_minus = (eye - proj_plus) / (1.0 + overlap)
-    a_inc = eye - a_plus - a_minus
-    povm = PovmSet(a_plus, a_minus, a_inc)
-
-    completeness = float(np.max(np.abs(a_plus + a_minus + a_inc - eye)))
-    if not completeness <= OPERATOR_TOL:
-        raise NotHermitian(f"POVM completeness defect {completeness:.3e}")
-    for el in povm.elements():
-        if not _hermiticity_defect(el) <= OPERATOR_TOL:
-            raise NotHermitian("POVM element is not Hermitian")
-        if not _positivity_defect(el) <= OPERATOR_TOL:
-            raise NotHermitian("POVM element is not positive semidefinite")
-    return povm
+    return PovmSet(a_plus, a_minus, eye - a_plus - a_minus)
 
 
 def povm_probabilities(state: Ket2, povm: PovmSet):
-    """Outcome probabilities (ZERO, ONE, INCONCLUSIVE) for a given state.
-
-    Each is :func:`quad_form` of one element, evaluated by the same
-    expression on the set's scalar entries, so the floats are identical.
-    """
-    a0, a1 = state.a0, state.a1
-    c0, c1 = a0.conjugate(), a1.conjugate()
-    (z00, z01, z10, z11), (o00, o01, o10, o11), (i00, i01, i10, i11) = povm._entries
-    return (
-        (c0 * (z00 * a0 + z01 * a1) + c1 * (z10 * a0 + z11 * a1)).real,
-        (c0 * (o00 * a0 + o01 * a1) + c1 * (o10 * a0 + o11 * a1)).real,
-        (c0 * (i00 * a0 + i01 * a1) + c1 * (i10 * a0 + i11 * a1)).real,
-    )
+    """Outcome probabilities (ZERO, ONE, INCONCLUSIVE): :func:`quad_form` of each element."""
+    return tuple(quad_form(el, state) for el in povm.elements())
 
 
 def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
@@ -385,24 +377,20 @@ def measure_povm(state: Ket2, povm: PovmSet, rng) -> PovmOutcome:
     The first readout of a state tables the cut points that
     ``rng.pick_weighted`` would accumulate from its probabilities, keyed
     by its exact amplitudes, and every readout compares one draw with
-    them: the floats and outcomes are those of the quadratic forms.
+    them: the floats and outcomes are those of the quadratic forms.  The
+    set was checked when it was built, so they sum to 1 within 1e-10.
 
     Raises
     ------
     DimensionMismatch
         Unless ``state`` is a qubit state; checked before any arithmetic.
-    NotHermitian
-        If the probabilities do not sum to 1 within 1e-10.
     """
     if not isinstance(state, Ket2):
         raise DimensionMismatch(f"cannot read {type(state).__name__} with a qubit POVM")
     key = (state.a0, state.a1)
     cuts = povm._cuts.get(key)
     if cuts is None:
-        p0, p1, p2 = povm_probabilities(state, povm)
-        total = p0 + p1 + p2  # sum(probs), written out
-        if not abs(total - 1.0) <= OPERATOR_TOL:
-            raise NotHermitian(f"POVM probabilities sum to {total!r}")
+        p0, p1, _ = povm_probabilities(state, povm)
         # pick_weighted's running sums; amplitudes that compare equal, such as 0.0 and
         # -0.0, differ at most in the sign of a zero probability, which 0.0 + absorbs.
         cut0 = 0.0 + p0

@@ -1,8 +1,8 @@
 """Per-slot stage 1 as a reference for the session engine's.
 
 This is the quantum stage with nothing decided once per session: every
-projective measurement checks its basis, passed as a plain tuple,
-through ``_check_basis``; the translucent tap finds each pulse's row by
+projective measurement checks its basis, passed as a plain tuple, by
+building a ``Basis`` from it; the translucent tap finds each pulse's row by
 ``states_equal``; and the POVM probabilities are :func:`quad_form` of
 each element.  It draws from the stream in the engine's documented
 order, so on equal seeds the engine must give the same record, the same
@@ -10,6 +10,7 @@ tap record and the same final stream state.
 """
 
 from qkdsim import (
+    Basis,
     OpaqueEve,
     PhotonSplitEve,
     PovmOutcome,
@@ -24,11 +25,11 @@ from qkdsim import (
     vh_alphabet,
 )
 from qkdsim.errors import NotHermitian, StateNotInAlphabet
-from qkdsim.quantum import OPERATOR_TOL, _check_basis
+from qkdsim.quantum import OPERATOR_TOL
 
 
 def measure_projective(state, basis, rng):
-    b0, b1 = _check_basis(tuple(basis))
+    b0, b1 = Basis(*basis)
     p0 = abs(inner(b0, state)) ** 2
     bit = 0 if rng.uniform() < p0 else 1
     return bit, (b0 if bit == 0 else b1)

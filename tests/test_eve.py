@@ -129,36 +129,35 @@ def test_validate_rejects_non_translucent_strategy():
 def test_validate_rejects_product_form_with_orthogonal_probes():
     # a=1, b=0 with orthogonal probes forces output overlap 0 != cos 2t.
     alpha = b92_alphabet(THETA)
-    bad = EntanglingEve(
-        THETA, 1.0, 0.0, alpha[1], alpha[0], Ket2(1, 0), Ket2(0, 1)
-    )
-    with pytest.raises(NotUnitary):
-        validate_interaction(bad)
+    with pytest.raises(NotUnitary, match="output overlap"):
+        EntanglingEve(THETA, 1.0, 0.0, alpha[1], alpha[0], Ket2(1, 0), Ket2(0, 1))
 
 
 def test_validate_rejects_bad_amplitudes():
     ok = entangling_swap_attack(THETA)
-    bad = EntanglingEve(THETA, 1.0, 1.0, ok.out_plus, ok.out_minus, ok.probe_plus, ok.probe_minus)
-    with pytest.raises(NotUnitary):
-        validate_interaction(bad)
+    with pytest.raises(NotUnitary, match=r"\|a\|\^2 \+ \|b\|\^2 = 2\.0+, expected 1"):
+        EntanglingEve(THETA, 1.0, 1.0, ok.out_plus, ok.out_minus, ok.probe_plus, ok.probe_minus)
 
 
 def test_validate_rejects_carriers_of_wrong_norm():
     # |a|^2 + |b|^2 = 1, but equal out states add up to carriers of norm sqrt(2).
     ok = entangling_swap_attack(THETA)
     amp = math.sqrt(0.5)
-    bad = EntanglingEve(THETA, amp, amp, ok.out_plus, ok.out_plus, ok.probe_plus, ok.probe_minus)
     with pytest.raises(NotUnitary, match="output norms"):
-        validate_interaction(bad)
+        EntanglingEve(THETA, amp, amp, ok.out_plus, ok.out_plus, ok.probe_plus, ok.probe_minus)
+
+
+def test_translucent_eve_refuses_non_unitary_coupling():
+    # Erasing the carrier with equal probes leaves the output overlap at 1, not cos 2t.
+    fixed = Ket2(1.0, 0.0)
+    with pytest.raises(NotUnitary, match=r"output overlap 1\.0+\+0\.0+j differs from input overlap 0\.70710678"):
+        TranslucentEve(THETA, fixed, fixed, fixed, fixed)
 
 
 def test_validate_rejects_nan_amplitude():
     ok = entangling_swap_attack(THETA)
-    bad = EntanglingEve(
-        THETA, math.nan, ok.b, ok.out_plus, ok.out_minus, ok.probe_plus, ok.probe_minus
-    )
-    with pytest.raises(NotUnitary):
-        validate_interaction(bad)
+    with pytest.raises(NotUnitary, match=r"\|a\|\^2 \+ \|b\|\^2 = nan"):
+        EntanglingEve(THETA, math.nan, ok.b, ok.out_plus, ok.out_minus, ok.probe_plus, ok.probe_minus)
 
 
 def test_translucent_strategies_refuse_bb84():

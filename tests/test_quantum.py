@@ -319,6 +319,17 @@ _PART = st.one_of(st.floats(-1.0, 1.0), st.sampled_from((0.0, -0.0)))
 _AMPS = st.tuples(*[_PART] * 4).filter(lambda a: sum(x * x for x in a) > 1e-12)
 
 
+@settings(max_examples=300, deadline=None)
+@given(theta=st.floats(0.0, math.pi / 4, exclude_min=True, exclude_max=True), amps=_AMPS)
+@example(theta=1e-309, amps=(1.0, 0.0, 0.0, 0.0))
+@example(theta=math.nextafter(math.pi / 4, 0.0), amps=(0.6, -0.0, 0.0, 0.8))
+def test_built_povm_probabilities_sum_to_one(theta, amps):
+    # What the completeness check at construction guarantees every readout.
+    re0, im0, re1, im1 = amps
+    state = Ket2(complex(re0, im0), complex(re1, im1))
+    assert abs(sum(povm_probabilities(state, build_povm(theta))) - 1.0) <= quantum.OPERATOR_TOL
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     theta=st.floats(0.0, math.pi / 4, exclude_min=True, exclude_max=True),
@@ -359,25 +370,41 @@ def test_measure_povm_matches_oracle_past_the_table_limit():
 
 
 class TestMeasurePovm:
-    def test_incomplete_set_raises_on_every_readout_and_is_never_tabled(self):
-        # Built directly, so no completeness check ran: every outcome sums to 1.1.
+    def test_incomplete_set_refused_when_built(self):
+        # Every outcome of this set would sum to 1.1.
         ref = build_povm(math.pi / 8)
-        povm = PovmSet(ref.a_plus, ref.a_minus, ref.a_inconclusive + 0.1 * np.eye(2))
-        rng = Rng(13)
-        before = _twister_state(rng)
-        for _ in range(2):
-            with pytest.raises(NotHermitian):
-                measure_povm(DIAG, povm, rng)
-        assert povm._cuts == {}
-        assert _twister_state(rng) == before
+        with pytest.raises(NotHermitian, match="POVM completeness defect 1.000e-01"):
+            PovmSet(ref.a_plus, ref.a_minus, ref.a_inconclusive + 0.1 * np.eye(2))
+
+    @pytest.mark.parametrize("shape", [np.eye(2), np.ones((2, 2))], ids=["diagonal", "every-entry"])
+    @pytest.mark.parametrize("scale", [0.51, 0.75, 1.0])
+    def test_completeness_defect_over_half_the_tolerance_refused(self, shape, scale):
+        # A defect of d in every entry moves the diagonal state's sum by 2 d.
+        ref = build_povm(math.pi / 8)
+        defect = scale * quantum.OPERATOR_TOL * shape
+        with pytest.raises(NotHermitian, match="POVM completeness defect"):
+            PovmSet(ref.a_plus, ref.a_minus, ref.a_inconclusive + defect)
+
+    def test_completeness_defect_under_half_the_tolerance_accepted(self):
+        ref = build_povm(math.pi / 8)
+        defect = 0.49 * quantum.OPERATOR_TOL * np.ones((2, 2))
+        povm = PovmSet(ref.a_plus, ref.a_minus, ref.a_inconclusive + defect)
+        assert abs(sum(povm_probabilities(DIAG, povm)) - 1.0) <= quantum.OPERATOR_TOL
 
     def test_nan_element_rejected(self):
         ref = build_povm(math.pi / 8)
         bad = np.array(ref.a_inconclusive)
         bad[1, 1] = math.nan
-        povm = PovmSet(ref.a_plus, ref.a_minus, bad)
-        with pytest.raises(NotHermitian):
-            measure_povm(DIAG, povm, Rng(12))
+        with pytest.raises(NotHermitian, match="POVM completeness defect inf"):
+            PovmSet(ref.a_plus, ref.a_minus, bad)
+
+    def test_infinite_entries_rejected_before_arithmetic(self):
+        # Summing inf and -inf would warn, which the suite turns into an error.
+        ref = build_povm(math.pi / 8)
+        plus, minus = np.array(ref.a_plus), np.array(ref.a_minus)
+        plus[0, 0], minus[0, 0] = math.inf, -math.inf
+        with pytest.raises(NotHermitian, match="POVM completeness defect inf"):
+            PovmSet(plus, minus, ref.a_inconclusive)
 
     def test_forbidden_outcome_never_fires(self):
         povm = build_povm(math.pi / 8)
