@@ -192,25 +192,25 @@ def _cmd_otp(args) -> int:
         data = handle.read()
     with open(args.key, "rb") as handle:
         key = handle.read()
-    fingerprint = hashlib.sha256(key).hexdigest()
+    try:
+        out = xor_bytes(data, key)
+    except LengthMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if args.otp_command == "encrypt":
+        # The key is recorded before its ciphertext is written, so a key whose record fails is never used.
+        fingerprint = hashlib.sha256(key).hexdigest()
         if fingerprint in _ledger_fingerprints(args.ledger):
             print(
                 f"refusing to reuse key {fingerprint[:16]}...: a one-time pad is one-time",
                 file=sys.stderr,
             )
             return 3
-    try:
-        out = xor_bytes(data, key)
-    except LengthMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    with open(args.out, "wb") as handle:
-        handle.write(out)
-    if args.otp_command == "encrypt":
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         with open(args.ledger, "a", encoding="utf-8") as handle:
             handle.write(f"{fingerprint}\t{stamp}\n")
+    with open(args.out, "wb") as handle:
+        handle.write(out)
     return 0
 
 

@@ -28,10 +28,11 @@ ANDed with the packed key, XOR-folded to one byte, and looked up in a
 that keeps only its block and the hex label tables, one per decimal
 width; the hex of its ``pa-subset`` payloads, one line of labels per
 row, is gathered from them whenever the transcript hashes or reads it,
-and only a read unhexlifies it into decimal text.  The
-blocks are thus the only copy of the subsets, and
-:class:`PackedSubsets` hands them out as :class:`SubsetRow` views that
-know their sizes without unpacking.
+and only a read unhexlifies it into decimal text.  A row's hex is the
+slices of its nonempty widths, the last one cut short of the comma
+that ends the row's last label.  The blocks are thus the only copy of
+the subsets, and :class:`PackedSubsets` hands them out as
+:class:`SubsetRow` views that know their sizes without unpacking.
 """
 
 import functools
@@ -317,27 +318,25 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
 
 
 def _subset_hex(labels, block):
-    """Each row's payload hex: memoryview slices, in width order, of one gathered buffer per label width.
+    """Each row's payload hex: its nonempty memoryview slices, in width order, of one gathered buffer per width.
 
-    The comma, ``2c``, that ends a row's last label is left out.
+    The last slice stops short of the comma, ``2c``, that ends the row's
+    last label.  Every row is nonempty, so it has a last slice.
     """
     rows = np.unpackbits(block, axis=1, count=labels[-1][1]).view(bool)  # flatnonzero is far faster on bool
     views, cuts = [], []
-    last = np.zeros(len(rows), dtype=np.intp)  # the width of each row's last label
-    for width, (lo, hi, table) in enumerate(labels):
+    for lo, hi, table in labels:
         part = rows[:, lo:hi]
         count = np.count_nonzero(part, axis=1)
         cols = np.flatnonzero(part)
         cols -= np.repeat(np.arange(0, part.size, hi - lo), count)  # in place, to hold one index array less
         views.append(memoryview(table.take(cols).view(np.uint8)))
         ends = np.cumsum(count) * table.itemsize
-        cuts.append((ends - count * table.itemsize, ends))
-        last[count > 0] = width
-    for width, (_, ends) in enumerate(cuts):
-        ends[last == width] -= 2
-    cuts = [zip(starts.tolist(), ends.tolist()) for starts, ends in cuts]
+        cuts.append(zip((ends - count * table.itemsize).tolist(), ends.tolist()))
     for row in zip(*cuts):
-        yield [view[start:end] for view, (start, end) in zip(views, row)]
+        parts = [view[start:end] for view, (start, end) in zip(views, row) if start != end]
+        parts[-1] = parts[-1][:-2]
+        yield parts
 
 
 def apply_subsets(key, subsets):

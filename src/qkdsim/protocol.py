@@ -95,10 +95,6 @@ class Stage1Record:
     alice_alphabets: list | None = None  # BB84: coin values, indexing alphabets.BB84_ALPHABETS
     bob_alphabets: list | None = None
 
-    @property
-    def n_slots(self) -> int:
-        return len(self.alice_bits)
-
 
 @dataclass(frozen=True)
 class SiftResult:
@@ -199,11 +195,8 @@ def sift_bb84(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
     for got, alpha in zip(record.received, record.bob_alphabets):
         chars.append(BB84_ALPHABETS[alpha][0] if got else "-")
     transcript.post("bob", "alphabets", "".join(chars))
-    kept = [
-        slot
-        for slot in range(record.n_slots)
-        if record.received[slot] and record.alice_alphabets[slot] == record.bob_alphabets[slot]
-    ]
+    slots = zip(record.received, record.alice_alphabets, record.bob_alphabets)
+    kept = [slot for slot, (got, alice, bob) in enumerate(slots) if got and alice == bob]
     transcript.post("alice", "kept", ",".join(map(str, kept)))
     if not kept:
         raise EmptySiftedKey("no slot survived sifting")

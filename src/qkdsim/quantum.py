@@ -23,10 +23,11 @@ Conventions
 * Measurement outcomes are selected by cumulative-probability inversion
   in a fixed order (bit 0 before bit 1; ZERO, ONE, INCONCLUSIVE), so
   equal seeds give identical outcome sequences.
-* Tolerances: 1e-12 on state norms, 1e-10 on unitarity, Hermiticity and
-  positivity, and 5e-11 on a POVM's completeness.  Double precision on
-  these tiny matrices is far better than any of these bounds.  Checks
-  read ``not defect <= TOL``, so NaN fails.
+* Tolerances: a state whose norm is below 1e-12 (squared norm below
+  ``_ZERO_NORM_SQ``, 1e-24) is the zero vector; 1e-10 on unitarity,
+  Hermiticity and positivity, and 5e-11 on a POVM's completeness.
+  Double precision on these tiny matrices is far better than any of
+  these bounds.  Checks read ``not defect <= TOL``, so NaN fails.
 
 Where the checks run
 --------------------
@@ -64,7 +65,6 @@ from .errors import (
     ZeroVector,
 )
 
-NORM_TOL = 1e-12
 OPERATOR_TOL = 1e-10
 _ZERO_NORM_SQ = 1e-24
 

@@ -21,6 +21,7 @@ from qkdsim import (
     entangling_swap_attack,
     estimate_error,
     eve_guess,
+    identity_translucent,
     inner,
     povm_probabilities,
     run_session,
@@ -365,20 +366,49 @@ class TestRunSession:
 ABORT_REASONS = ("empty_sifted_key", "error_rate_exceeds_threshold", "key_exhausted", "key_mismatch")
 
 
-@settings(max_examples=60, deadline=None)
+# The B92 couplings, each built at the session theta; they assume single-photon pulses.
+COUPLINGS = {
+    "translucent": translucent_swap_attack,
+    "entangle": entangling_swap_attack,
+    "identity": identity_translucent,
+}
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     protocol=st.sampled_from(["bb84", "b92"]),
-    eve=st.one_of(st.just(NoEve()), st.builds(OpaqueEve, st.floats(0.0, 1.0)), st.just(PhotonSplitEve())),
+    eve=st.one_of(
+        st.just(NoEve()),
+        st.builds(OpaqueEve, st.floats(0.0, 1.0)),
+        st.just(PhotonSplitEve()),
+        st.sampled_from(sorted(COUPLINGS)),
+    ),
+    theta=st.floats(1e-6, math.pi / 4, exclude_max=True),
     flip=st.floats(0.0, 1.0),
     loss=st.floats(0.0, 1.0),
     multi=st.floats(0.0, 1.0),
     r_max=st.floats(0.0, 1.0),
+    sample_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    sec_param=st.integers(0, 60),
     n_pulses=st.integers(1, 600),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_session_ends_in_a_shared_key_or_a_known_abort(protocol, eve, flip, loss, multi, r_max, n_pulses, seed):
+# Nearly every sifted bit is disclosed, so nothing is left to reconcile or amplify.
+@example(
+    protocol="bb84", eve=NoEve(), theta=math.pi / 8, flip=0.0, loss=0.0, multi=0.0, r_max=0.12,
+    sample_fraction=0.999999, sec_param=0, n_pulses=600, seed=1,
+)
+def test_session_ends_in_a_shared_key_or_a_known_abort(
+    protocol, eve, theta, flip, loss, multi, r_max, sample_fraction, sec_param, n_pulses, seed
+):
+    if isinstance(eve, str):
+        protocol, multi, eve = "b92", 0.0, COUPLINGS[eve](theta)
     noise = NoiseModel(flip_p=flip, loss_p=loss, multi_p=multi)
-    report = run_session(SessionConfig(protocol, n_pulses, noise=noise, eve=eve, r_max=r_max, seed=seed))
+    cfg = SessionConfig(
+        protocol, n_pulses, theta=theta, noise=noise, eve=eve,
+        sample_fraction=sample_fraction, r_max=r_max, sec_param=sec_param, seed=seed,
+    )
+    report = run_session(cfg)
     if report.aborted:
         assert report.abort_reason in ABORT_REASONS
     else:

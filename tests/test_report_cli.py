@@ -355,6 +355,19 @@ class TestOtpCommand:
         assert "reuse" in err
         assert len(ledger.read_text().splitlines()) == 1
 
+    def test_key_whose_record_fails_is_never_used(self, capsys, tmp_path):
+        infile = self._write(tmp_path / "a.bin", os.urandom(64))
+        keyfile = self._write(tmp_path / "key.bin", os.urandom(64))
+        cipher = tmp_path / "c1"
+        ledger = tmp_path / "missing" / "ledger.txt"
+        code, _, err = run_cli(
+            capsys,
+            ["otp", "encrypt", "--in", infile, "--key", keyfile, "--out", str(cipher), "--ledger", str(ledger)],
+        )
+        assert code == 1
+        assert "ledger.txt" in err
+        assert not cipher.exists()  # the unrecorded key has padded nothing
+
     def test_length_mismatch(self, capsys, tmp_path):
         infile = self._write(tmp_path / "a.bin", b"abcdef")
         keyfile = self._write(tmp_path / "k.bin", b"ab")
