@@ -18,9 +18,10 @@ Privacy amplification then maps the reconciled key of length ``n`` to
 ``s`` is the security parameter: that many random nonempty subsets are
 posted (indices only) and the new key is their undisclosed parities.
 The subsets are drawn as rows of a boolean matrix, a chunk of rows at a
-time from :meth:`Rng.uniforms`; an empty row is dropped and the next
-row takes its place.  Reconciliation's subset checks draw their rows by
-the same rule, one row at a time.  A chunk's accepted rows are kept as
+time from one loan of the stream, :meth:`Rng.bulk`; an empty row is
+dropped and the next row takes its place.  Reconciliation's subset
+checks draw their rows by the same rule, one row at a time, each from
+:meth:`Rng.uniforms`.  A chunk's accepted rows are kept as
 one block of ``np.packbits`` rows, ``ceil(n / 8)`` bytes each, beside
 the rows' sizes.  Both parties' parities come from the blocks: a row
 ANDed with the packed key, XOR-folded to one byte, and looked up in a
@@ -33,10 +34,26 @@ slices of its nonempty widths, the last one cut short of the comma
 that ends the row's last label.  The blocks are thus the only copy of
 the subsets, and :class:`PackedSubsets` hands them out as
 :class:`SubsetRow` views that know their sizes without unpacking.
+
+Amplification runs as two stages on two threads, since numpy's draws
+and ``hashlib`` on long inputs both release the GIL.  A helper thread
+(the producer) borrows the stream once and draws, sizes and packs one
+chunk after another, handing each over through a one-slot queue; the
+calling thread (the consumer) meanwhile takes the previous chunk's
+parities and posts it.  The output stays a pure function of the seed:
+the producer is the only code that draws from the stream during the
+call, a chunk's row count depends only on the rows accepted before it,
+and the chunks are posted in the order they were drawn, so the draws,
+the key and the transcript are those of one thread, however the two
+are scheduled.  The producer is joined before the call returns, so the
+stream is handed back right after the last accepted row.  An error on
+either side reaches the caller, and the producer stops at its next
+chunk.
 """
 
 import functools
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -46,7 +63,7 @@ from .errors import KeyExhausted
 
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
-PA_CHUNK_DRAWS = 1 << 18  # about this many uniforms per chunk of amplification rows
+PA_CHUNK_DRAWS = 1 << 17  # about this many uniforms per chunk of amplification rows
 _BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
 
 
@@ -273,10 +290,11 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
 
     The subset index lists are posted to the transcript (contents never
     are); each output bit is the parity of the key over one subset.
-    Rows are drawn in chunks of at most the rows still wanted, so the
-    stream stops right after the last accepted subset.  Each chunk's
-    accepted rows are packed into one block, and the chunk is posted
-    with :meth:`PublicTranscript.post_lines` and :func:`_subset_hex`.
+    Rows are drawn on a helper thread in chunks of at most the rows
+    still wanted, so the stream stops right after the last accepted
+    subset.  Each chunk's accepted rows are packed into one block, and
+    this thread posts the chunk with :meth:`PublicTranscript.post_lines`
+    and :func:`_subset_hex` while the next one is drawn.
 
     Returns
     -------
@@ -301,19 +319,46 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
         for lo, hi in zip(bounds, bounds[1:])
     ]
     rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
+    import queue  # here, so a session that never amplifies does not map its two extension modules
+    chunks, stop = queue.Queue(maxsize=1), threading.Event()
+
+    def draw_chunks():
+        # Every put follows a look at stop, so once stop is set at most one more put comes.
+        try:
+            with rng.bulk() as draw:
+                accepted = 0
+                while accepted < m and not stop.is_set():
+                    wanted = min(m - accepted, rows_per_chunk)
+                    rows = draw(wanted * n).reshape(wanted, n) < 0.5
+                    row_sizes = np.count_nonzero(rows, axis=1)
+                    kept = row_sizes > 0  # an empty row is rejected; the next row is its redraw
+                    block = np.packbits(rows[kept], axis=1)
+                    accepted += len(block)
+                    chunks.put((block, row_sizes[kept]))
+            end = None
+        except BaseException as error:  # handed to the caller, which raises it
+            end = error
+        if not stop.is_set():
+            chunks.put(end)
+
+    producer = threading.Thread(target=draw_chunks, name="qkdsim-amplify-draws", daemon=True)
+    producer.start()
     blocks, sizes = [], []
     final = []
-    while len(final) < m:
-        wanted = min(m - len(final), rows_per_chunk)
-        rows = rng.uniforms(wanted * n).reshape(wanted, n) < 0.5
-        row_sizes = np.count_nonzero(rows, axis=1)
-        kept = row_sizes > 0  # an empty row is rejected; the next row is its redraw
-        block = np.packbits(rows[kept], axis=1)
-        row_sizes = row_sizes[kept]
-        final.extend(_parities(block, packed_key))
-        transcript.post_lines("alice", "pa-subset", functools.partial(_subset_hex, labels, block))
-        blocks.append(block)
-        sizes.append(row_sizes)
+    try:
+        for chunk in iter(chunks.get, None):
+            if isinstance(chunk, BaseException):
+                raise chunk
+            block, row_sizes = chunk
+            final.extend(_parities(block, packed_key))
+            transcript.post_lines("alice", "pa-subset", functools.partial(_subset_hex, labels, block))
+            blocks.append(block)
+            sizes.append(row_sizes)
+    finally:
+        stop.set()
+        if chunks.full():
+            chunks.get_nowait()  # room for the one put the producer may still make
+        producer.join()
     return final, PackedSubsets(n, blocks, sizes)
 
 

@@ -13,15 +13,21 @@ A scalar draw, ``rng.uniform()``, is that primitive itself: each
 instance attribute ``uniform``, so the draws stage 1 makes per pulse go
 through the :class:`Rng` without a Python frame of its own.
 
-:meth:`Rng.uniforms` draws in bulk through numpy: it hands the same
-MT19937 state to the ``numpy.random.RandomState`` that each :class:`Rng`
-keeps, whose ``random_sample`` builds each double from the next two
-32-bit words exactly as ``random()`` does (``(a >> 5) * 2**26 +
-(b >> 6)``, over ``2**53``), and hands the advanced state back.  A bulk
-draw is therefore the same sequence as that many ``random()`` calls,
-and the guarantee above holds.
+Bulk draws go through numpy.  :meth:`Rng.bulk` lends the stream: it
+hands the same MT19937 state to the ``numpy.random.RandomState`` that
+each :class:`Rng` keeps, whose ``random_sample`` builds each double from
+the next two 32-bit words exactly as ``random()`` does (``(a >> 5) *
+2**26 + (b >> 6)``, over ``2**53``), and hands the advanced state back
+when the loan ends, also when it ends in an error.  A bulk draw is
+therefore the same sequence as that many ``random()`` calls, and the
+guarantee above holds.  :meth:`Rng.bulk` is the only bridge between the
+two generators; :meth:`Rng.uniforms` is one draw under one loan.  While
+the stream is lent, the ``random.Random`` state is stale: no scalar
+draw may be made until the loan ends, or it would repeat the lent
+words and then be overwritten.
 """
 
+import contextlib
 import random
 
 import numpy as np
@@ -37,14 +43,17 @@ class Rng:
         self._random = random.Random(self.seed).random
         # One draw in [0, 1): the generator's bound random(), called with no wrapper frame.
         self.uniform = self._random
-        self._twister = None  # built by the first uniforms(); numpy.random costs ~2 MB to load
+        self._twister = None  # built by the first bulk(); numpy.random costs ~2 MB to load
 
-    def uniforms(self, k: int) -> np.ndarray:
-        """``k`` draws in [0, 1), the same values ``k`` calls of ``uniform()`` return.
+    @contextlib.contextmanager
+    def bulk(self):
+        """Lend the stream to numpy; yields a ``draw(k)`` of ``k`` uniforms in [0, 1).
 
-        The generator's state goes to this stream's numpy twister and
-        comes back advanced, on every call, so the ``random.Random``
-        behind ``_random`` (still the same object) is always current.
+        On entry the generator's state goes to this stream's numpy
+        twister; on exit, also on an error, the advanced state comes
+        back, so the ``random.Random`` behind ``_random`` (still the
+        same object) continues right after the last lent draw.  No
+        scalar draw may be made inside the ``with``.
         """
         generator = self._random.__self__
         version, internal, gauss_next = generator.getstate()
@@ -52,10 +61,16 @@ class Rng:
         if twister is None:
             twister = self._twister = np.random.RandomState(0)  # seeded only to skip reading OS entropy
         twister.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
-        draws = twister.random_sample(k)
-        _, key, pos = twister.get_state()[:3]
-        generator.setstate((version, (*key.tolist(), pos), gauss_next))
-        return draws
+        try:
+            yield twister.random_sample
+        finally:
+            _, key, pos = twister.get_state()[:3]
+            generator.setstate((version, (*key.tolist(), pos), gauss_next))
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """``k`` draws in [0, 1), the same values ``k`` calls of ``uniform()`` return."""
+        with self.bulk() as draw:
+            return draw(k)
 
     def coin(self) -> int:
         """Fair bit: 1 with probability 1/2."""

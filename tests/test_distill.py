@@ -3,6 +3,9 @@
 import hashlib
 import math
 import re
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -328,6 +331,113 @@ class TestPrivacyAmplify:
         unpacked = [list(subset) for subset in subsets]
         assert count == len(unpacked) == 280
         assert indices == sum(map(len, unpacked))
+
+
+
+class _Refused(Exception):
+    pass
+
+
+class _CountedLoans(Rng):
+    """An Rng that counts how often its stream is lent to numpy."""
+
+    __slots__ = ("loans",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.loans = 0
+
+    def bulk(self):
+        self.loans += 1
+        return super().bulk()
+
+
+def _amplify_within(seconds, *args):
+    """privacy_amplify(*args) on its own thread: its result or its error, or a failure if it hangs."""
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(privacy_amplify(*args))
+        except Exception as error:
+            outcome.append(error)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(seconds)
+    assert not caller.is_alive(), f"privacy_amplify still running after {seconds} s"
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
+class TestAmplificationThread:
+    """The helper thread that draws amplification's rows starts and ends inside one call."""
+
+    def test_rapid_switching_keeps_the_oracle_output_and_one_loan(self):
+        key = _random_bits(Rng(120), 300)
+        rng, transcript, before = _CountedLoans(121), PublicTranscript(), threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter lock between the threads as often as it allows
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(distill, "PA_CHUNK_DRAWS", 3000)  # ten rows per chunk, 28 chunks
+                final, _ = _amplify_within(60, key, 0, 20, rng, transcript)
+        finally:
+            sys.setswitchinterval(interval)
+        oracle_rng, oracle_t = Rng(121), PublicTranscript()
+        assert final == _scalar_privacy_amplify(key, 0, 20, oracle_rng, oracle_t)[0]
+        assert transcript.digest() == oracle_t.digest()
+        assert rng.uniform() == oracle_rng.uniform()
+        assert rng.loans == 1
+        assert threading.active_count() == before
+
+    def test_a_posting_error_reaches_the_caller_and_stops_the_draws(self):
+        class RefusingTranscript(PublicTranscript):
+            def post_lines(self, sender, tag, hexed):
+                time.sleep(0.05)  # time for the producer to fill the queue and block on its next put
+                raise _Refused("transcript closed")
+
+        key = _random_bits(Rng(122), 300)
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distill, "PA_CHUNK_DRAWS", 300)  # one row per chunk
+            with pytest.raises(_Refused, match="transcript closed"):
+                _amplify_within(60, key, 0, 20, Rng(123), RefusingTranscript())
+        assert threading.active_count() == before
+
+    def test_a_drawing_error_reaches_the_caller_from_the_thread(self):
+        packbits, calls, escaped = np.packbits, [], []
+
+        def packbits_failing_on_the_second_chunk(*args, **kwargs):
+            # Call 1 packs the key before the producer starts; calls 2 and on pack its chunks.
+            calls.append(None)
+            if len(calls) == 3:
+                raise _Refused("out of bits")
+            return packbits(*args, **kwargs)
+
+        key = _random_bits(Rng(124), 300)
+        transcript, before = PublicTranscript(), threading.active_count()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(distill, "PA_CHUNK_DRAWS", 3000)
+            patch.setattr(np, "packbits", packbits_failing_on_the_second_chunk)
+            patch.setattr(threading, "excepthook", escaped.append)
+            with pytest.raises(_Refused, match="out of bits"):
+                _amplify_within(60, key, 0, 20, Rng(125), transcript)
+        assert escaped == []
+        assert len(transcript) == 10  # the first chunk's rows were posted
+        assert threading.active_count() == before
+
+    def test_an_exhausted_key_starts_no_thread(self):
+        def refuse(_thread):
+            raise AssertionError("started a thread")
+
+        rng = Rng(126)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(threading.Thread, "start", refuse)
+            with pytest.raises(KeyExhausted):
+                privacy_amplify([1, 0, 1], 2, 1, rng, PublicTranscript())
+        assert rng.uniform() == Rng(126).uniform()
 
 
 @settings(max_examples=150, deadline=None)

@@ -209,9 +209,9 @@ class TestRunCommand:
             assert type(doc[field]) is type(want)
 
     def test_dump_transcript(self, capsys, tmp_path):
-        # 300 pulses post amplification's subsets in one chunk, 2000 in several,
-        # and 4000 reconcile past 1,000 bits, so four-digit labels follow shorter ones.
-        for n, chunks in (("300", 1), ("2000", 3), ("4000", 12)):
+        # At PA_CHUNK_DRAWS = 1 << 17, 300 pulses post amplification's subsets in one chunk,
+        # 2000 in six, and 4000 reconcile past 1,000 bits, so four-digit labels follow shorter ones.
+        for n, chunks in (("300", 1), ("2000", 6), ("4000", 23)):
             path = tmp_path / f"transcript-{n}.log"
             code, out, _ = run_cli(
                 capsys, ["run", "--n", n, "--seed", "4", "--dump-transcript", str(path)]

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -62,6 +63,44 @@ def test_interleaved_draws_follow_one_stream_and_one_twister(seed, draws):
             twisters.append(rng._twister)
     assert rng._random.__self__.getstate() == plain.getstate()
     assert all(twister is twisters[0] for twister in twisters)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    draws=st.lists(
+        st.one_of(
+            st.just(("uniform", None)),
+            st.just(("coin", None)),
+            st.tuples(st.just("bulk"), st.lists(st.integers(0, 1500), max_size=4)),
+        ),
+        max_size=16,
+    ),
+)
+def test_draws_under_one_loan_follow_one_stream(seed, draws):
+    # Several draw(k) under one bulk(), between scalar draws, read random() in turn.
+    rng, plain = Rng(seed), random.Random(seed)
+    for name, arg in draws:
+        if name == "uniform":
+            assert rng.uniform() == plain.random()
+        elif name == "coin":
+            assert rng.coin() == (1 if plain.random() < 0.5 else 0)
+        else:
+            with rng.bulk() as draw:
+                for k in arg:
+                    assert draw(k).tolist() == [plain.random() for _ in range(k)]
+    assert rng._random.__self__.getstate() == plain.getstate()
+
+
+def test_an_error_inside_a_loan_keeps_the_draws_made():
+    rng, plain = Rng(41), random.Random(41)
+    with pytest.raises(RuntimeError, match="mid-loan"):
+        with rng.bulk() as draw:
+            drawn = draw(700).tolist() + draw(300).tolist()
+            raise RuntimeError("mid-loan")
+    assert drawn == [plain.random() for _ in range(1000)]
+    assert rng.uniform() == plain.random()
+    assert rng._random.__self__.getstate() == plain.getstate()
 
 
 def test_uniform_survives_a_slotted_subclass():
