@@ -38,12 +38,16 @@ the subsets, and :class:`PackedSubsets` hands them out as
 Amplification runs as two stages on two threads, since numpy's draws
 and ``hashlib`` on long inputs both release the GIL.  A helper thread
 (the producer) borrows the stream once and draws, sizes and packs one
-chunk after another, handing each over through a one-slot queue; the
-calling thread (the consumer) meanwhile takes the previous chunk's
-parities and posts it.  The output stays a pure function of the seed:
-the producer is the only code that draws from the stream during the
-call, a chunk's row count depends only on the rows accepted before it,
-and the chunks are posted in the order they were drawn, so the draws,
+chunk after another, handing each over through a queue; the calling
+thread (the consumer) meanwhile takes the parities of the chunks
+already drawn and posts them.  The queue has no bound, so the producer
+never waits for the consumer: it runs ahead, and a stall of either
+thread delays only that thread's own work.  That costs no memory: a
+queued chunk is its packed block and row sizes, which the call returns
+anyway.  The output stays a pure function of the seed: the producer is
+the only code that draws from the stream during the call, a chunk's
+row count depends only on the rows accepted before it, and the chunks
+are posted in the order they were drawn, so the draws,
 the key and the transcript are those of one thread, however the two
 are scheduled.  The producer is joined before the call returns, so the
 stream is handed back right after the last accepted row.  An error on
@@ -320,10 +324,9 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     ]
     rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
     import queue  # here, so a session that never amplifies does not map its two extension modules
-    chunks, stop = queue.Queue(maxsize=1), threading.Event()
+    chunks, stop = queue.SimpleQueue(), threading.Event()
 
     def draw_chunks():
-        # Every put follows a look at stop, so once stop is set at most one more put comes.
         try:
             with rng.bulk() as draw:
                 accepted = 0
@@ -335,11 +338,9 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
                     block = np.packbits(rows[kept], axis=1)
                     accepted += len(block)
                     chunks.put((block, row_sizes[kept]))
-            end = None
+            chunks.put(None)
         except BaseException as error:  # handed to the caller, which raises it
-            end = error
-        if not stop.is_set():
-            chunks.put(end)
+            chunks.put(error)
 
     producer = threading.Thread(target=draw_chunks, name="qkdsim-amplify-draws", daemon=True)
     producer.start()
@@ -356,8 +357,6 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
             sizes.append(row_sizes)
     finally:
         stop.set()
-        if chunks.full():
-            chunks.get_nowait()  # room for the one put the producer may still make
         producer.join()
     return final, PackedSubsets(n, blocks, sizes)
 

@@ -395,7 +395,7 @@ class TestAmplificationThread:
     def test_a_posting_error_reaches_the_caller_and_stops_the_draws(self):
         class RefusingTranscript(PublicTranscript):
             def post_lines(self, sender, tag, hexed):
-                time.sleep(0.05)  # time for the producer to fill the queue and block on its next put
+                time.sleep(0.05)  # time for the producer to run ahead of the posting
                 raise _Refused("transcript closed")
 
         key = _random_bits(Rng(122), 300)
