@@ -42,7 +42,7 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("flip_p", "loss_p", "multi_p"):
             v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if isinstance(v, bool) or not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
 
 

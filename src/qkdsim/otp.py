@@ -9,9 +9,16 @@ from .errors import LengthMismatch
 
 
 def otp_xor(text, key):
-    """XOR two equal-length bit sequences; returns a list of bits."""
+    """XOR two equal-length bit sequences; returns a list of bits.
+
+    A ``ValueError`` names the first entry, of ``text`` then of ``key``, that is not 0 or 1.
+    """
     if len(text) != len(key):
         raise LengthMismatch(f"text has {len(text)} bits but key has {len(key)}")
+    for name, bits in (("text", text), ("key", key)):
+        for index, bit in enumerate(bits):
+            if bit not in (0, 1):
+                raise ValueError(f"{name}: not a bit: {bit!r} at index {index}")
     return [t ^ k for t, k in zip(text, key)]
 
 

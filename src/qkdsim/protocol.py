@@ -29,6 +29,7 @@ Transcript message kinds (sender, tag):
 """
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -63,6 +64,11 @@ class SessionConfig:
     def __post_init__(self):
         if self.protocol not in ("bb84", "b92"):
             raise ValueError(f"unknown protocol {self.protocol!r}")
+        for name in ("n_pulses", "sec_param", "seed"):
+            value = getattr(self, name)  # any operator.index value but a bool, stored as an int
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be at least 1")
         if not math.isfinite(self.theta):
@@ -71,7 +77,7 @@ class SessionConfig:
             b92_alphabet(self.theta)  # ThetaOutOfRange outside (0, pi/4)
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must lie in (0, 1)")
-        if not 0.0 <= self.r_max <= 1.0:
+        if isinstance(self.r_max, bool) or not 0.0 <= self.r_max <= 1.0:
             raise ValueError("r_max must lie in [0, 1]")
         if self.sec_param < 0:
             raise ValueError("sec_param must be non-negative")

@@ -7,25 +7,29 @@ building a ``Basis`` from it; the translucent tap finds each pulse's row by
 each element.  It draws from the stream in the engine's documented
 order, so on equal seeds the engine must give the same record, the same
 tap record and the same final stream state.
+
+It also holds a plain Fisher-Yates shuffle, the reference for
+``Rng.permutation`` and ``Rng.sample_positions``.
 """
+
+import random
 
 from qkdsim import (
     Basis,
     OpaqueEve,
     PhotonSplitEve,
     PovmOutcome,
-    Stage1Record,
     b92_alphabet,
     build_povm,
-    flip_state,
     inner,
     oblique_alphabet,
-    quad_form,
     states_equal,
     vh_alphabet,
 )
+from qkdsim.channel import flip_state
 from qkdsim.errors import NotHermitian, StateNotInAlphabet
-from qkdsim.quantum import OPERATOR_TOL
+from qkdsim.protocol import Stage1Record
+from qkdsim.quantum import OPERATOR_TOL, quad_form
 
 
 def measure_projective(state, basis, rng):
@@ -43,7 +47,7 @@ def measure_povm(state, povm, rng):
 
 
 class Tap:
-    """What :class:`~qkdsim.EveTap` does to a pulse, and the record it keeps."""
+    """What :class:`~qkdsim.eve.EveTap` does to a pulse, and the record it keeps."""
 
     def __init__(self, strategy, protocol, rng, theta):
         self.strategy = strategy
@@ -131,3 +135,16 @@ def run_stage1_b92(cfg, rng, tap) -> Stage1Record:
         received.append(True)
         bob_bits.append(None if outcome == PovmOutcome.INCONCLUSIVE else int(outcome))
     return Stage1Record(alice_bits, received, bob_bits)
+
+
+def permutation(seed, n):
+    """Fisher-Yates shuffle of range(n) over ``random.Random(seed).random``, and that ``random``.
+
+    Each swap index is ``int(u * (i + 1))``, clamped to ``i`` as ``Rng.below`` clamps it.
+    """
+    draw = random.Random(seed).random
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = min(int(draw() * (i + 1)), i)
+        order[i], order[j] = order[j], order[i]
+    return order, draw

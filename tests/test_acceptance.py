@@ -18,19 +18,16 @@ from qkdsim import (
     SessionConfig,
     b92_alphabet,
     build_povm,
-    eve_guess,
     povm_probabilities,
     privacy_amplify,
     reconcile,
     run_fixture,
     run_session,
-    run_stage1_b92,
-    run_stage1_bb84,
-    sift_bb84,
     uncertainty_product,
 )
 from qkdsim.cli import main
-from qkdsim.protocol import make_tap
+from qkdsim.eve import eve_guess
+from qkdsim.protocol import make_tap, run_stage1_b92, run_stage1_bb84, sift_bb84
 from util import rand_hermitian, rand_ket, subset_parity_information
 
 

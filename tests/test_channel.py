@@ -8,9 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdsim import (
-    EveTap,
     Ket2,
-    Ket4,
     NoiseModel,
     PhotonSplitEve,
     PublicTranscript,
@@ -19,7 +17,6 @@ from qkdsim import (
     apply_unitary,
     b92_alphabet,
     build_povm,
-    flip_state,
     inner,
     measure_povm,
     measure_projective,
@@ -28,13 +25,15 @@ from qkdsim import (
     povm_probabilities,
     rotation,
     run_session,
-    session_transcript,
     states_equal,
     transmit,
     vh_alphabet,
 )
-from qkdsim.channel import Message
+from qkdsim.channel import Message, flip_state
 from qkdsim.errors import DimensionMismatch
+from qkdsim.eve import EveTap
+from qkdsim.protocol import session_transcript
+from qkdsim.quantum import Ket4
 from util import binomial_sigma, rand_ket
 
 VERTICAL = Ket2(1, 0)

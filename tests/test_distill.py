@@ -17,13 +17,12 @@ from qkdsim import (
     PublicTranscript,
     Rng,
     apply_subsets,
-    default_block_policy,
     leaked_bits_bound,
     privacy_amplify,
     reconcile,
 )
 from qkdsim import distill
-from qkdsim.distill import _parity
+from qkdsim.distill import _parity, default_block_policy
 from qkdsim.errors import KeyExhausted
 from util import subset_parity_information
 
@@ -191,7 +190,8 @@ class TestLeakedBitsBound:
         # bit on matched-basis slots (half of them) and nothing
         # elsewhere, so her per-bit information 1 - H2(confidence)
         # averages 2R = 0.5 -- the same quantity the bound charges.
-        from qkdsim import OpaqueEve, SessionConfig, eve_guess
+        from qkdsim import OpaqueEve, SessionConfig
+        from qkdsim.eve import eve_guess
         from qkdsim.protocol import make_tap, run_stage1_bb84, sift_bb84
 
         cfg = SessionConfig("bb84", 40_000, eve=OpaqueEve(1.0), seed=105)

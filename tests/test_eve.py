@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 from qkdsim import (
     EntanglingEve,
-    EveTap,
     Ket2,
-    Ket4,
     NoEve,
     NoiseModel,
     OpaqueEve,
@@ -23,22 +21,13 @@ from qkdsim import (
     SessionConfig,
     b92_alphabet,
     build_povm,
-    discrimination_measurement,
     entangling_swap_attack,
-    eve_guess,
     identity_translucent,
     inner,
     measure_povm,
-    measure_povm_carrier,
     polarization,
     povm_probabilities,
-    product_factors,
     run_session,
-    run_stage1_bb84,
-    run_stage1_b92,
-    session_transcript,
-    sift_bb84,
-    sift_b92,
     states_equal,
     TranslucentEve,
     translucent_swap_attack,
@@ -46,7 +35,16 @@ from qkdsim import (
 )
 from qkdsim.channel import PublicTranscript
 from qkdsim.errors import NotUnitary, StateNotInAlphabet
-from qkdsim.protocol import make_tap
+from qkdsim.eve import EveTap, discrimination_measurement, eve_guess
+from qkdsim.protocol import (
+    make_tap,
+    run_stage1_b92,
+    run_stage1_bb84,
+    session_transcript,
+    sift_b92,
+    sift_bb84,
+)
+from qkdsim.quantum import Ket4, measure_povm_carrier, product_factors
 from util import best_projective_discrimination, binomial_sigma
 
 THETA = math.pi / 8

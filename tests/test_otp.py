@@ -58,3 +58,16 @@ def test_byte_form_matches_bit_form():
 def test_bits_from_string_rejects_non_bits(text, bad, index):
     with pytest.raises(ValueError, match=f"{bad!r} at index {index}$"):
         bits_from_string(text)
+
+
+@pytest.mark.parametrize(
+    "text, key, message",
+    [
+        ([2, 1], [1, 1], "text: not a bit: 2 at index 0"),
+        ([0, 1, 1], [1, 0, -1], "key: not a bit: -1 at index 2"),
+        ([1, "0"], [5, 1], "text: not a bit: '0' at index 1"),
+    ],
+)
+def test_otp_xor_rejects_non_bits(text, key, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        otp_xor(text, key)

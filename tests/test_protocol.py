@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,25 +16,29 @@ from qkdsim import (
     PublicTranscript,
     Rng,
     SessionConfig,
-    Stage1Record,
     b92_alphabet,
+    build_document,
     build_povm,
     entangling_swap_attack,
-    estimate_error,
-    eve_guess,
     identity_translucent,
     inner,
     povm_probabilities,
+    render_json,
     run_session,
+    translucent_swap_attack,
+)
+from qkdsim.errors import EmptySiftedKey, RestartRequired, ThetaOutOfRange
+from qkdsim.eve import eve_guess
+from qkdsim.protocol import (
+    Stage1Record,
+    estimate_error,
+    make_tap,
     run_stage1_b92,
     run_stage1_bb84,
     session_transcript,
     sift_b92,
     sift_bb84,
-    translucent_swap_attack,
 )
-from qkdsim.errors import EmptySiftedKey, RestartRequired, ThetaOutOfRange
-from qkdsim.protocol import make_tap
 import oracle
 from util import binomial_sigma
 
@@ -354,6 +359,39 @@ class TestRunSession:
     def test_config_ranges(self, setting, message):
         with pytest.raises(ValueError, match=message):
             SessionConfig("bb84", 100, **setting)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("n_pulses", 100.5),
+            ("n_pulses", True),
+            ("sec_param", 2.5),
+            ("sec_param", True),
+            ("seed", 1.5),
+            ("seed", False),
+            ("seed", "1"),
+            ("r_max", True),
+            ("flip_p", True),
+            ("loss_p", False),
+            ("multi_p", True),
+        ],
+    )
+    def test_config_refuses_non_integral_or_bool(self, name, value):
+        # Refused when built: 100.5 pulses would fail inside stage 1, sec_param 2.5 on amplification's
+        # helper thread, and seed 1.5 would run the seed-1 stream but report "seed": 1.5.
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            if name.endswith("_p"):
+                NoiseModel(**{name: value})
+            else:
+                SessionConfig(**{"protocol": "bb84", "n_pulses": 100, name: value})
+
+    def test_config_integers_are_stored_as_int(self):
+        cfg = SessionConfig("bb84", np.int64(300), sec_param=np.int32(4), seed=np.uint8(5))
+        assert [type(v) for v in (cfg.n_pulses, cfg.sec_param, cfg.seed)] == [int, int, int]
+        plain = SessionConfig("bb84", 300, sec_param=4, seed=5)
+        assert render_json(build_document(run_session(cfg), cfg)) == render_json(
+            build_document(run_session(plain), plain)
+        )
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, math.pi / 4, 1.0])
     def test_b92_theta_out_of_range(self, theta):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from qkdsim import (
     Basis,
     Ket2,
-    Ket4,
     PovmOutcome,
     PovmSet,
     Rng,
@@ -24,7 +23,6 @@ from qkdsim import (
     measure_projective,
     polarization,
     povm_probabilities,
-    quad_form,
     rotation,
     states_equal,
     uncertainty_product,
@@ -37,6 +35,7 @@ from qkdsim.errors import (
     ThetaOutOfRange,
     ZeroVector,
 )
+from qkdsim.quantum import Ket4, quad_form
 from qkdsim import quantum
 import oracle
 from util import eig_bounds_2x2, rand_hermitian, rand_ket

@@ -16,10 +16,10 @@ from qkdsim import (
     distill,
     identity_translucent,
     run_session,
-    strategy_label,
     translucent_swap_attack,
 )
 from qkdsim.cli import _EVES, _RUN_DEFAULTS, main
+from qkdsim.report import strategy_label
 
 EXPECTED_FIELDS = [
     "schema_version",

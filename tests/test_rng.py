@@ -3,10 +3,11 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import Rng
+import oracle
 
 
 def test_pick_weighted_all_zero_weights_lands_in_last_bucket():
@@ -114,3 +115,16 @@ def test_uniform_survives_a_slotted_subclass():
     rng, plain = Wrapped(77), random.Random(77)
     assert [rng.uniform() for _ in range(1000)] == [plain.random() for _ in range(1000)]
     assert rng.uniform.__self__ is rng._random.__self__
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 2000), m=st.integers(0, 2000))
+@example(seed=0, n=2000, m=1000)
+@example(seed=1, n=1, m=1)
+@example(seed=2**32, n=0, m=0)
+def test_permutation_and_sample_positions_match_fisher_yates(seed, n, m):
+    order, draw = oracle.permutation(seed, n)
+    rng = Rng(seed)
+    assert rng.permutation(n) == order
+    assert rng.uniform() == draw()
+    assert Rng(seed).sample_positions(n, m) == sorted(order[:m])
