@@ -25,6 +25,7 @@ are read, so their decimal payloads exist only in those reads.
 
 import binascii
 import hashlib
+import numbers
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
@@ -41,9 +42,12 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("flip_p", "loss_p", "multi_p"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not 0.0 <= v <= 1.0:
+            v = getattr(self, name)  # any real but a bool, stored as a float
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
+            if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+            object.__setattr__(self, name, float(v))
 
 
 @dataclass(frozen=True)

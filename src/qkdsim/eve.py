@@ -34,14 +34,15 @@ on a pulse and how she turns what she holds into a guess.
 import functools
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .alphabets import BB84_ALPHABETS, b92_alphabet
+from .alphabets import BB84_ALPHABETS
 from .errors import NotUnitary, StateNotInAlphabet
-from .quantum import Basis, Ket2, inner, measure_projective, states_equal
+from .quantum import Basis, Ket2, b92_alphabet, inner, measure_projective, states_equal
 from .rng import Rng
 
 INTERACTION_TOL = 1e-8
@@ -63,8 +64,12 @@ class OpaqueEve:
     fraction: float = 1.0
 
     def __post_init__(self):
+        # Any real but a bool, stored as a float.
+        if isinstance(self.fraction, bool) or not isinstance(self.fraction, numbers.Real):
+            raise ValueError(f"fraction must be a real number, got {self.fraction!r}")
         if not 0.0 <= self.fraction <= 1.0:
             raise ValueError(f"fraction must lie in [0, 1], got {self.fraction!r}")
+        object.__setattr__(self, "fraction", float(self.fraction))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,18 +267,18 @@ class EveTap:
                 self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         elif is_translucent(strategy, protocol):
             self._act = EveTap._apply_translucent
-            alpha = b92_alphabet(theta)
+            minus, plus = b92_alphabet(theta)
+            row_minus, row_plus = coupling = strategy.coupling
             # Rows (code state, (forwarded, probe)), plus first: it wins if theta is below tolerance.
-            self._table = tuple((alpha[bit], strategy.coupling[bit]) for bit in (1, 0))
-            # The same rows by the code state's exact amplitudes, which every emitted
-            # state carries.  A row equal within tolerance to an earlier one is left
-            # out, so a state equal to it still meets the earlier row in the table.
-            self._rows = {}
-            for i, (code_state, row) in enumerate(self._table):
-                if not any(states_equal(code_state, earlier) for earlier, _ in self._table[:i]):
-                    self._rows[code_state.a0, code_state.a1] = row
+            self._table = ((plus, row_plus), (minus, row_minus))
+            # The same rows by the code state's exact amplitudes, which every emitted state
+            # carries.  A minus state within tolerance of the plus state gets no row of its
+            # own, so it still meets the plus row in the table.
+            self._rows = {(plus.a0, plus.a1): row_plus}
+            if not states_equal(minus, plus):
+                self._rows[minus.a0, minus.a1] = row_minus
             # A probe is in one of the coupling's pair.
-            held = tuple(probe for _, probe in strategy.coupling)
+            held = tuple(probe for _, probe in coupling)
             self._guess = functools.partial(_guess_helstrom, *discrimination_measurement(*held))
         else:
             raise TypeError(f"no tap for {type(strategy).__name__}")

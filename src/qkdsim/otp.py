@@ -11,13 +11,14 @@ from .errors import LengthMismatch
 def otp_xor(text, key):
     """XOR two equal-length bit sequences; returns a list of bits.
 
-    A ``ValueError`` names the first entry, of ``text`` then of ``key``, that is not 0 or 1.
+    A ``ValueError`` names the first entry, of ``text`` then of ``key``, that is not an
+    integer 0 or 1: ``1.0`` equals 1 but has no ``__index__``, so ``^`` would refuse it.
     """
     if len(text) != len(key):
         raise LengthMismatch(f"text has {len(text)} bits but key has {len(key)}")
     for name, bits in (("text", text), ("key", key)):
         for index, bit in enumerate(bits):
-            if bit not in (0, 1):
+            if not hasattr(type(bit), "__index__") or bit not in (0, 1):
                 raise ValueError(f"{name}: not a bit: {bit!r} at index {index}")
     return [t ^ k for t, k in zip(text, key)]
 

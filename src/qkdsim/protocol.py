@@ -29,17 +29,18 @@ Transcript message kinds (sender, tag):
 """
 
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass, field
 
-from .alphabets import BB84_ALPHABETS, b92_alphabet
+from .alphabets import BB84_ALPHABETS
 from .channel import NoiseModel, PublicTranscript, transmit
 from .distill import apply_subsets, leaked_bits_bound, privacy_amplify, reconcile
 from .errors import EmptySiftedKey, KeyExhausted, RestartRequired
 from .eve import EveTap, NoEve, eve_guess, is_translucent
 from .otp import bits_to_string
-from .quantum import PovmOutcome, build_povm, measure_povm, measure_projective
+from .quantum import PovmOutcome, b92_alphabet, build_povm, measure_povm, measure_projective
 # Unused here, but perfbench/tracing.py wraps protocol.measure_povm_carrier by name.
 from .quantum import measure_povm_carrier  # noqa: F401
 from .rng import Rng
@@ -69,6 +70,11 @@ class SessionConfig:
             if isinstance(value, bool) or not hasattr(type(value), "__index__"):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, operator.index(value))
+        for name in ("theta", "sample_fraction", "r_max"):
+            value = getattr(self, name)  # any real but a bool, stored as a float
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if self.n_pulses < 1:
             raise ValueError("n_pulses must be at least 1")
         if not math.isfinite(self.theta):
@@ -77,7 +83,7 @@ class SessionConfig:
             b92_alphabet(self.theta)  # ThetaOutOfRange outside (0, pi/4)
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample_fraction must lie in (0, 1)")
-        if isinstance(self.r_max, bool) or not 0.0 <= self.r_max <= 1.0:
+        if not 0.0 <= self.r_max <= 1.0:
             raise ValueError("r_max must lie in [0, 1]")
         if self.sec_param < 0:
             raise ValueError("sec_param must be non-negative")
@@ -156,15 +162,13 @@ def run_stage1_bb84(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
         alice_bits.append(bit)
         alice_alphas.append(alpha)
         delivered = transmit(slot, bases[alpha][bit], noise, tap, rng)
-        if delivered is None:
-            received.append(False)
-            bob_alphas.append(None)
-            bob_bits.append(None)
-            continue
-        b_alpha = coin()
+        b_alpha = b_bit = None
+        if delivered is not None:
+            b_alpha = coin()
+            b_bit = measure_projective(delivered, bases[b_alpha], rng)[0]
+        received.append(delivered is not None)
         bob_alphas.append(b_alpha)
-        bob_bits.append(measure_projective(delivered, bases[b_alpha], rng)[0])
-        received.append(True)
+        bob_bits.append(b_bit)
     return Stage1Record(alice_bits, received, bob_bits, alice_alphabets=alice_alphas, bob_alphabets=bob_alphas)
 
 
@@ -181,13 +185,12 @@ def run_stage1_b92(cfg: SessionConfig, rng: Rng, tap) -> Stage1Record:
         bit = coin()
         alice_bits.append(bit)
         delivered = transmit(slot, alphabet[bit], noise, tap, rng)
-        if delivered is None:
-            received.append(False)
-            bob_bits.append(None)
-            continue
-        outcome = measure_povm(delivered, povm, rng)
-        received.append(True)
-        bob_bits.append(None if outcome == INCONCLUSIVE else int(outcome))
+        b_bit = None
+        if delivered is not None:
+            outcome = measure_povm(delivered, povm, rng)
+            b_bit = None if outcome == INCONCLUSIVE else int(outcome)
+        received.append(delivered is not None)
+        bob_bits.append(b_bit)
     return Stage1Record(alice_bits, received, bob_bits)
 
 
@@ -222,12 +225,14 @@ def sift_b92(record: Stage1Record, transcript: PublicTranscript) -> SiftResult:
     return SiftResult(raw_alice, raw_bob, kept)
 
 
-def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max):
+def estimate_error(raw_alice, raw_bob, size, rng, transcript, r_max):
     """Disclose a random sample of the raw keys and estimate the error rate.
 
-    The sample positions (ceil(fraction * len), drawn from the shared
-    session stream) and both parties' sample bits go on the transcript;
-    the disclosed positions are then deleted from both keys.
+    ``size`` positions, between 1 and the keys' length, are drawn from
+    the shared session stream; :func:`run_session` passes the report's
+    ``disclosed_count``.  The positions and both parties' sample bits go
+    on the transcript; the disclosed positions are then deleted from
+    both keys.
 
     Returns
     -------
@@ -241,16 +246,14 @@ def estimate_error(raw_alice, raw_bob, fraction, rng, transcript, r_max):
     """
     if len(raw_alice) != len(raw_bob) or not raw_alice:
         raise ValueError("raw keys must be non-empty and equally long")
-    n = len(raw_alice)
-    m = math.ceil(fraction * n)
-    sample = rng.sample_positions(n, m)
+    sample = rng.sample_positions(len(raw_alice), size)
     transcript.post("bob", "sample", ",".join(map(str, sample)))
     bits_a = [raw_alice[i] for i in sample]
     bits_b = [raw_bob[i] for i in sample]
     transcript.post("alice", "sample-bits", bits_to_string(bits_a))
     transcript.post("bob", "sample-bits", bits_to_string(bits_b))
     disagreements = sum(1 for a, b in zip(bits_a, bits_b) if a != b)
-    rate = disagreements / m
+    rate = disagreements / size
     if rate > r_max:
         transcript.post("alice", "abort", repr(rate))
         raise RestartRequired(rate)
@@ -297,7 +300,7 @@ def run_session(cfg: SessionConfig) -> RunReport:
         report.disclosed_count = math.ceil(cfg.sample_fraction * report.sifted_count)
         report.eve_guess_accuracy = _eve_accuracy(tap, transcript, sift)
         rate, tent_a, tent_b = estimate_error(
-            sift.raw_alice, sift.raw_bob, cfg.sample_fraction, rng, transcript, r_max=cfg.r_max
+            sift.raw_alice, sift.raw_bob, report.disclosed_count, rng, transcript, r_max=cfg.r_max
         )
         report.error_rate = rate
         rec_a, rec_b, _ = reconcile(tent_a, tent_b, rate, rng, transcript)

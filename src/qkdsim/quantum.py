@@ -339,8 +339,15 @@ def _positivity_defect(mat: np.ndarray) -> float:
     return float(np.max((-(m00 + m11), -det, 0.0)))
 
 
+def b92_alphabet(theta: float) -> tuple:
+    """Non-orthogonal B92 code pair at +-theta: 1 -> plus state, 0 -> minus state."""
+    if not 0.0 < theta < math.pi / 4:
+        raise ThetaOutOfRange(f"theta must lie in (0, pi/4), got {theta!r}")
+    return polarization(-theta), polarization(theta)
+
+
 def build_povm(theta: float) -> PovmSet:
-    """Construct the unambiguous-discrimination POVM for code states at +-theta.
+    """Construct the unambiguous-discrimination POVM for the :func:`b92_alphabet` pair at +-theta.
 
     The plus element annihilates the minus code state and vice versa::
 
@@ -348,15 +355,9 @@ def build_povm(theta: float) -> PovmSet:
         a_minus = (1 - |plus><plus|)   / (1 + <plus|minus>)
         a_inconclusive = 1 - a_plus - a_minus
 
-    Raises
-    ------
-    ThetaOutOfRange
-        Unless 0 < theta < pi/4.
+    Raises ``ThetaOutOfRange``, as the pair does, unless 0 < theta < pi/4.
     """
-    if not 0.0 < theta < math.pi / 4:
-        raise ThetaOutOfRange(f"theta must lie in (0, pi/4), got {theta!r}")
-    plus = polarization(theta)
-    minus = polarization(-theta)
+    minus, plus = b92_alphabet(theta)
     overlap = math.cos(2.0 * theta)
     eye = np.eye(2, dtype=complex)
     proj_plus = np.outer(plus.vec, plus.vec.conj())

@@ -66,6 +66,8 @@ def test_bits_from_string_rejects_non_bits(text, bad, index):
         ([2, 1], [1, 1], "text: not a bit: 2 at index 0"),
         ([0, 1, 1], [1, 0, -1], "key: not a bit: -1 at index 2"),
         ([1, "0"], [5, 1], "text: not a bit: '0' at index 1"),
+        ([1.0, 0], [1, 1], "text: not a bit: 1.0 at index 0"),
+        ([0, 1], [1, 0.0], "key: not a bit: 0.0 at index 1"),
     ],
 )
 def test_otp_xor_rejects_non_bits(text, key, message):

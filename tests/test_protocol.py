@@ -1,6 +1,7 @@
 """Session engine: stages, sifting, estimation, full runs."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -236,31 +237,31 @@ class TestSiftB92:
 class TestEstimateError:
     def test_identical_keys(self):
         raw = [0, 1, 1, 0, 1, 0, 1, 1]
-        rate, tent_a, tent_b = estimate_error(raw, list(raw), 0.25, Rng(130), PublicTranscript(), r_max=1.0)
+        rate, tent_a, tent_b = estimate_error(raw, list(raw), 2, Rng(130), PublicTranscript(), r_max=1.0)
         assert rate == 0.0
         assert tent_a == tent_b
-        assert len(tent_a) == len(raw) - 2  # ceil(0.25 * 8) disclosed and removed
+        assert len(tent_a) == len(raw) - 2  # 2 disclosed and removed
 
     def test_recorded_tapped_keys_full_disclosure(self):
         sift = sift_bb84(_recorded_stage1(BOB_BITS_TAPPED), PublicTranscript())
         rate, tent_a, tent_b = estimate_error(
-            sift.raw_alice, sift.raw_bob, 1.0, Rng(131), PublicTranscript(), r_max=1.0
+            sift.raw_alice, sift.raw_bob, len(sift.raw_alice), Rng(131), PublicTranscript(), r_max=1.0
         )
         assert rate == pytest.approx(2 / 6)
         assert tent_a == [] and tent_b == []
 
     def test_threshold_abort(self):
         with pytest.raises(RestartRequired) as exc:
-            estimate_error([0] * 50, [1] * 50, 0.2, Rng(132), PublicTranscript(), r_max=0.12)
+            estimate_error([0] * 50, [1] * 50, 10, Rng(132), PublicTranscript(), r_max=0.12)
         assert exc.value.rate == 1.0
 
     def test_empty_keys_refused(self):
         with pytest.raises(ValueError, match="non-empty"):
-            estimate_error([], [], 0.1, Rng(134), PublicTranscript(), r_max=1.0)
+            estimate_error([], [], 1, Rng(134), PublicTranscript(), r_max=1.0)
 
     def test_disclosure_is_posted(self):
         t = PublicTranscript()
-        estimate_error([0, 1, 1, 0], [0, 1, 0, 0], 0.5, Rng(133), t, r_max=1.0)
+        estimate_error([0, 1, 1, 0], [0, 1, 0, 0], 2, Rng(133), t, r_max=1.0)
         assert t.find("bob", "sample") is not None
         assert t.find("alice", "sample-bits") is not None
         assert t.find("bob", "sample-bits") is not None
@@ -374,6 +375,12 @@ class TestRunSession:
             ("flip_p", True),
             ("loss_p", False),
             ("multi_p", True),
+            ("theta", True),
+            ("sample_fraction", np.True_),
+            ("fraction", True),
+            ("r_max", "0.5"),
+            ("theta", 0.3j),
+            ("flip_p", None),
         ],
     )
     def test_config_refuses_non_integral_or_bool(self, name, value):
@@ -382,6 +389,8 @@ class TestRunSession:
         with pytest.raises(ValueError, match=f"^{name} must"):
             if name.endswith("_p"):
                 NoiseModel(**{name: value})
+            elif name == "fraction":
+                OpaqueEve(value)
             else:
                 SessionConfig(**{"protocol": "bb84", "n_pulses": 100, name: value})
 
@@ -391,6 +400,31 @@ class TestRunSession:
         plain = SessionConfig("bb84", 300, sec_param=4, seed=5)
         assert render_json(build_document(run_session(cfg), cfg)) == render_json(
             build_document(run_session(plain), plain)
+        )
+
+    @pytest.mark.parametrize(
+        "given, plain",
+        [
+            ({"r_max": 1}, {"r_max": 1.0}),
+            ({"r_max": Fraction(1, 2)}, {"r_max": 0.5}),
+            ({"sample_fraction": Fraction(1, 4)}, {"sample_fraction": 0.25}),
+            ({"theta": np.float32(0.5)}, {"theta": 0.5}),
+            ({"noise": NoiseModel(flip_p=0, loss_p=Fraction(1, 8))}, {"noise": NoiseModel(loss_p=0.125)}),
+            ({"eve": OpaqueEve(1)}, {"eve": OpaqueEve(1.0)}),
+            ({"eve": OpaqueEve(np.float64(0.5))}, {"eve": OpaqueEve(0.5)}),
+        ],
+    )
+    def test_config_floats_are_stored_as_float(self, given, plain):
+        # Equal configs, equal report bytes: an int r_max was echoed as 1, and a Fraction
+        # ran a whole session before render_json refused it.
+        cfg = SessionConfig("bb84", 300, seed=2, **given)
+        want = SessionConfig("bb84", 300, seed=2, **plain)
+        floats = [cfg.theta, cfg.sample_fraction, cfg.r_max, cfg.noise.flip_p, cfg.noise.loss_p, cfg.noise.multi_p]
+        if isinstance(cfg.eve, OpaqueEve):
+            floats.append(cfg.eve.fraction)
+        assert {type(v) for v in floats} == {float}
+        assert render_json(build_document(run_session(cfg), cfg)) == render_json(
+            build_document(run_session(want), want)
         )
 
     @pytest.mark.parametrize("theta", [0.0, -0.1, math.pi / 4, 1.0])
@@ -453,6 +487,21 @@ def test_session_ends_in_a_shared_key_or_a_known_abort(
         assert report.abort_reason is None
         assert report.final_key_alice == report.final_key_bob
         assert report.final_key_length == len(report.final_key_alice) > 0
+    # The report's counts follow from the public transcript alone.
+    posted = {"kept": 0, "conclusive": 0, "sample": 0, "parity": 0, "pa-subset": 0}
+    for msg in session_transcript(report):
+        if msg.tag in ("kept", "conclusive", "sample"):
+            posted[msg.tag] += len([slot for slot in msg.payload.split(",") if slot])
+        elif msg.tag == "pa-subset" or (msg.tag, msg.sender) == ("parity", "alice"):
+            posted[msg.tag] += 1
+    assert report.sifted_count == posted["kept"] + posted["conclusive"]
+    assert report.disclosed_count == posted["sample"]
+    if report.reconciled_length is not None:
+        assert report.reconciled_length == report.sifted_count - report.disclosed_count - posted["parity"]
+    if report.abort_reason != "key_mismatch":
+        assert report.final_key_length == posted["pa-subset"]
+    if not report.aborted:
+        assert report.leaked_bits == report.reconciled_length - report.final_key_length - sec_param
 
 
 STAGE1_KINDS = [
