@@ -20,7 +20,7 @@ digest costs nothing at the end of a session.  A run of messages posted
 together, such as privacy amplification's subsets, is kept as the
 function that renders their payloads' hex: the transcript hashes that
 hex as it is posted, and unhexlifies it into messages each time they
-are read, so their decimal payloads exist only in those reads.
+are read, so their payloads exist only in those reads.
 """
 
 import binascii

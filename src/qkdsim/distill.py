@@ -16,48 +16,33 @@ check discards a live bit, so this phase ends before the key runs out.
 Privacy amplification then maps the reconciled key of length ``n`` to
 ``n - k - s`` bits, where ``k`` bounds what an eavesdropper may know and
 ``s`` is the security parameter: that many random nonempty subsets are
-posted (indices only) and the new key is their undisclosed parities.
-The subsets are drawn as rows of a boolean matrix, a chunk of rows at a
-time from one loan of the stream, :meth:`Rng.bulk`; an empty row is
+posted (which positions, never the bits there) and the new key is their
+undisclosed parities.  A subset is a row of ``n`` bits, drawn from
+exactly ``ceil(n / 32)`` raw words of the stream: the words'
+little-endian bytes, cut to ``ceil(n / 8)`` bytes, read as an
+``np.packbits`` row (key position ``i`` is bit ``7 - i % 8`` of byte
+``i // 8``), with the bits from ``n`` up cleared.  An empty row is
 dropped and the next row takes its place.  Reconciliation's subset
-checks draw their rows by the same rule, one row at a time, each from
-:meth:`Rng.uniforms`.  A chunk's accepted rows are kept as
-one block of ``np.packbits`` rows, ``ceil(n / 8)`` bytes each, beside
-the rows' sizes.  Both parties' parities come from the blocks: a row
-ANDed with the packed key, XOR-folded to one byte, and looked up in a
-256-entry parity table.  The chunk is posted as one transcript entry
-that keeps only its block and the hex label tables, one per decimal
-width; the hex of its ``pa-subset`` payloads, one line of labels per
-row, is gathered from them whenever the transcript hashes or reads it,
-and only a read unhexlifies it into decimal text.  A row's hex is the
-slices of its nonempty widths, the last one cut short of the comma
-that ends the row's last label.  The blocks are thus the only copy of
-the subsets, and :class:`PackedSubsets` hands them out as
-:class:`SubsetRow` views that know their sizes without unpacking.
+checks draw their rows by the same rule, one row at a time from
+:meth:`Rng.words`; amplification draws its rows a chunk at a time, at
+most ``PA_CHUNK_BYTES`` of words, all under one loan of the stream,
+:meth:`Rng.bulk`.  Every row takes the same number of words, so the
+chunk size cannot change a byte of output, and the last chunk draws
+only the rows still wanted.
 
-Amplification runs as two stages on two threads, since numpy's draws
-and ``hashlib`` on long inputs both release the GIL.  A helper thread
-(the producer) borrows the stream once and draws, sizes and packs one
-chunk after another, handing each over through a queue; the calling
-thread (the consumer) meanwhile takes the parities of the chunks
-already drawn and posts them.  The queue has no bound, so the producer
-never waits for the consumer: it runs ahead, and a stall of either
-thread delays only that thread's own work.  That costs no memory: a
-queued chunk is its packed block and row sizes, which the call returns
-anyway.  The output stays a pure function of the seed: the producer is
-the only code that draws from the stream during the call, a chunk's
-row count depends only on the rows accepted before it, and the chunks
-are posted in the order they were drawn, so the draws,
-the key and the transcript are those of one thread, however the two
-are scheduled.  The producer is joined before the call returns, so the
-stream is handed back right after the last accepted row.  An error on
-either side reaches the caller, and the producer stops at its next
-chunk.
+A posted subset's payload is its row's hex.  A chunk's accepted rows
+are kept as one block of packed rows beside the rows' sizes, and the
+chunk is posted as one transcript entry that keeps only the block and
+renders each row's hex, one row at a time, when the transcript hashes
+or reads it.  Sizes and both parties' parities come from the blocks
+through 256-entry byte tables: a row ANDed with the packed key,
+XOR-folded to one byte, gives its parity.  The blocks are thus the only
+copy of the subsets, and :class:`PackedSubsets` hands them out as
+:class:`SubsetRow` views that know their sizes without unpacking.
 """
 
 import functools
 import math
-import threading
 from collections import Counter
 from dataclasses import dataclass
 
@@ -67,8 +52,11 @@ from .errors import KeyExhausted
 
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
-PA_CHUNK_DRAWS = 1 << 17  # about this many uniforms per chunk of amplification rows
-_BYTE_PARITY = np.array([bin(b).count("1") & 1 for b in range(256)], dtype=np.uint8)
+PA_CHUNK_BYTES = 1 << 20  # at most this many bytes of words per chunk of amplification rows
+_BYTE_SIZE = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_BYTE_PARITY = _BYTE_SIZE & 1
+# What a row byte becomes in a transcript line: the hex of its hex.
+_BYTE_HEX_HEX = np.array([f"{b:02x}".encode().hex() for b in range(256)], dtype="S4")
 
 
 def default_block_policy(rate: float, key_len: int) -> int:
@@ -198,10 +186,11 @@ def reconcile(key_a, key_b, rate, rng, transcript):
         positions = state.alive_positions()
         if not positions:
             break
-        rel = []
-        while not rel:  # an empty row is redrawn, as in privacy amplification
-            rel = np.flatnonzero(rng.uniforms(len(positions)) < 0.5).tolist()
-        transcript.post("bob", "subset", ",".join(map(str, rel)))
+        rows = ()
+        while not len(rows):  # an empty row is redrawn, as in privacy amplification
+            rows, _ = _draw_rows(rng.words, len(positions), 1)
+        transcript.post("bob", "subset", rows[0].tobytes().hex())
+        rel = np.flatnonzero(np.unpackbits(rows[0], count=len(positions))).tolist()
         clean = 0 if state.check([positions[j] for j in rel]) else clean + 1
 
     rec_a = [state.key_a[i] for i, ok in enumerate(state.alive) if ok]
@@ -284,21 +273,42 @@ class PackedSubsets:
                 yield SubsetRow(bits, size, self.n)
 
 
+def _draw_rows(words, n: int, count: int):
+    """``count`` rows of ``n`` bits from ``words(k)``, the empty ones dropped: (packed rows, their sizes).
+
+    Each row is ``ceil(n / 32)`` raw words, whose little-endian bytes
+    are cut to ``ceil(n / 8)`` and cleared from bit ``n`` on.
+    """
+    row_words = -(-n // 32)
+    raw = words(count * row_words).view(np.uint8).reshape(count, 4 * row_words)
+    block = raw[:, : -(-n // 8)].copy()
+    block[:, -1] &= (0xFF << (-n % 8)) & 0xFF
+    sizes = _BYTE_SIZE[block].sum(axis=1)
+    kept = sizes > 0  # an empty row is rejected; the next row is its redraw
+    return block[kept], sizes[kept]
+
+
 def _parities(block, packed_key) -> list:
     """Parity of the packed key over each row of ``block``."""
     return _BYTE_PARITY[np.bitwise_xor.reduce(block & packed_key, axis=1)].tolist()
 
 
+def _row_hex(block):
+    """Each row's payload hex, one row at a time, looked up byte by byte in ``_BYTE_HEX_HEX``."""
+    for row in block:
+        yield (_BYTE_HEX_HEX.take(row),)
+
+
 def privacy_amplify(key, k: int, s: int, rng, transcript):
     """Compress ``key`` to ``len(key) - k - s`` random-subset parities.
 
-    The subset index lists are posted to the transcript (contents never
-    are); each output bit is the parity of the key over one subset.
-    Rows are drawn on a helper thread in chunks of at most the rows
-    still wanted, so the stream stops right after the last accepted
-    subset.  Each chunk's accepted rows are packed into one block, and
-    this thread posts the chunk with :meth:`PublicTranscript.post_lines`
-    and :func:`_subset_hex` while the next one is drawn.
+    The subsets are posted to the transcript as their rows' hex
+    (contents never are); each output bit is the parity of the key over
+    one subset.  Rows are drawn in chunks of at most ``PA_CHUNK_BYTES``
+    of words and at most the rows still wanted, so the stream stops
+    right after the last accepted subset.  Each chunk's accepted rows
+    are packed into one block and posted with
+    :meth:`PublicTranscript.post_lines`.
 
     Returns
     -------
@@ -316,71 +326,16 @@ def privacy_amplify(key, k: int, s: int, rng, transcript):
     if m < 1:
         raise KeyExhausted(f"n - k - s = {n} - {k} - {s} leaves no key")
     packed_key = np.packbits(np.asarray(key, dtype=bool))
-    # (lo, hi, table) per decimal width: table[i - lo] is the hex of f"{i},"; one width, so no NUL padding.
-    bounds = [0, *(10**width for width in range(1, len(str(n - 1)))), n]
-    labels = [
-        (lo, hi, np.array([f"{i},".encode().hex() for i in range(lo, hi)], dtype="S"))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-    rows_per_chunk = max(1, PA_CHUNK_DRAWS // n)
-    import queue  # here, so a session that never amplifies does not map its two extension modules
-    chunks, stop = queue.SimpleQueue(), threading.Event()
-
-    def draw_chunks():
-        try:
-            with rng.bulk() as draw:
-                accepted = 0
-                while accepted < m and not stop.is_set():
-                    wanted = min(m - accepted, rows_per_chunk)
-                    rows = draw(wanted * n).reshape(wanted, n) < 0.5
-                    row_sizes = np.count_nonzero(rows, axis=1)
-                    kept = row_sizes > 0  # an empty row is rejected; the next row is its redraw
-                    block = np.packbits(rows[kept], axis=1)
-                    accepted += len(block)
-                    chunks.put((block, row_sizes[kept]))
-            chunks.put(None)
-        except BaseException as error:  # handed to the caller, which raises it
-            chunks.put(error)
-
-    producer = threading.Thread(target=draw_chunks, name="qkdsim-amplify-draws", daemon=True)
-    producer.start()
-    blocks, sizes = [], []
-    final = []
-    try:
-        for chunk in iter(chunks.get, None):
-            if isinstance(chunk, BaseException):
-                raise chunk
-            block, row_sizes = chunk
+    rows_per_chunk = max(1, PA_CHUNK_BYTES // (4 * -(-n // 32)))
+    blocks, sizes, final = [], [], []
+    with rng.bulk() as words:
+        while len(final) < m:
+            block, row_sizes = _draw_rows(words, n, min(m - len(final), rows_per_chunk))
             final.extend(_parities(block, packed_key))
-            transcript.post_lines("alice", "pa-subset", functools.partial(_subset_hex, labels, block))
+            transcript.post_lines("alice", "pa-subset", functools.partial(_row_hex, block))
             blocks.append(block)
             sizes.append(row_sizes)
-    finally:
-        stop.set()
-        producer.join()
     return final, PackedSubsets(n, blocks, sizes)
-
-
-def _subset_hex(labels, block):
-    """Each row's payload hex: its nonempty memoryview slices, in width order, of one gathered buffer per width.
-
-    The last slice stops short of the comma, ``2c``, that ends the row's
-    last label.  Every row is nonempty, so it has a last slice.
-    """
-    rows = np.unpackbits(block, axis=1, count=labels[-1][1]).view(bool)  # flatnonzero is far faster on bool
-    views, cuts = [], []
-    for lo, hi, table in labels:
-        part = rows[:, lo:hi]
-        count = np.count_nonzero(part, axis=1)
-        cols = np.flatnonzero(part)
-        cols -= np.repeat(np.arange(0, part.size, hi - lo), count)  # in place, to hold one index array less
-        views.append(memoryview(table.take(cols).view(np.uint8)))
-        ends = np.cumsum(count) * table.itemsize
-        cuts.append(zip((ends - count * table.itemsize).tolist(), ends.tolist()))
-    for row in zip(*cuts):
-        parts = [view[start:end] for view, (start, end) in zip(views, row) if start != end]
-        parts[-1] = parts[-1][:-2]
-        yield parts
 
 
 def apply_subsets(key, subsets):

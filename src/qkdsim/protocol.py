@@ -23,8 +23,9 @@ Transcript message kinds (sender, tag):
 * bob ``sample`` / alice+bob ``sample-bits`` -- error-estimation
   disclosure.
 * alice ``perm`` / ``parity`` / bob ``subset`` / ``parity`` -- see
-  :mod:`qkdsim.distill`.
-* alice ``pa-subset`` -- amplification subset indices.
+  :mod:`qkdsim.distill`; a ``subset`` is the hex of its packed row.
+* alice ``pa-subset`` -- an amplification subset, the hex of its packed
+  row over the reconciled key.
 * alice ``abort`` -- the measured rate, when estimation aborts the run.
 """
 

@@ -17,7 +17,7 @@ from .distill import MAX_PASSES, N_CLEAN, default_block_policy
 from .eve import OpaqueEve
 from .protocol import RunReport, SessionConfig, session_transcript
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def strategy_label(strategy) -> str:

@@ -2,26 +2,29 @@
 
 All randomness in the package flows through :class:`Rng` so that a
 session is a pure function of its seed.  The generator is the Mersenne
-Twister behind :class:`random.Random`, and only its ``random()`` output
-is consumed -- the one primitive whose sequence CPython guarantees to be
-reproducible for a given seed across versions and platforms.  Every
-helper below (coins, bounded integers, permutations) is built on that
-single primitive, so transcripts replay bit-for-bit anywhere.
+Twister behind :class:`random.Random`.  Scalar draws consume its
+``random()`` output -- the one primitive whose sequence CPython
+guarantees to be reproducible for a given seed across versions and
+platforms -- and every scalar helper below (coins, bounded integers,
+permutations) is built on it.  Bulk draws consume the same twister's
+raw 32-bit words through numpy's legacy stream, which NEP 19 freezes,
+so transcripts replay bit-for-bit anywhere.
 
 A scalar draw, ``rng.uniform()``, is that primitive itself: each
 :class:`Rng` binds its generator's own ``random`` method as the
 instance attribute ``uniform``, so the draws stage 1 makes per pulse go
 through the :class:`Rng` without a Python frame of its own.
 
-Bulk draws go through numpy.  :meth:`Rng.bulk` lends the stream: it
-hands the same MT19937 state to the ``numpy.random.RandomState`` that
-each :class:`Rng` keeps, whose ``random_sample`` builds each double from
-the next two 32-bit words exactly as ``random()`` does (``(a >> 5) *
-2**26 + (b >> 6)``, over ``2**53``), and hands the advanced state back
-when the loan ends, also when it ends in an error.  A bulk draw is
-therefore the same sequence as that many ``random()`` calls, and the
-guarantee above holds.  :meth:`Rng.bulk` is the only bridge between the
-two generators; :meth:`Rng.uniforms` is one draw under one loan.  While
+Bulk draws go through numpy and take raw words.  :meth:`Rng.bulk` lends
+the stream: it hands the same MT19937 state to the
+``numpy.random.RandomState`` that each :class:`Rng` keeps, whose
+``bytes`` method (a stream NEP 19 freezes) gives the next words'
+little-endian bytes, the words ``getrandbits(32)`` returns in turn, and
+hands the advanced state back when the loan ends, also when it ends in
+an error.  A bulk draw of ``k`` words is therefore the same sequence as
+``k`` calls of ``getrandbits(32)``, and two words are what one
+``random()`` takes.  :meth:`Rng.bulk` is the only bridge between the
+two generators; :meth:`Rng.words` is one draw under one loan.  While
 the stream is lent, the ``random.Random`` state is stale: no scalar
 draw may be made until the loan ends, or it would repeat the lent
 words and then be overwritten.
@@ -47,7 +50,10 @@ class Rng:
 
     @contextlib.contextmanager
     def bulk(self):
-        """Lend the stream to numpy; yields a ``draw(k)`` of ``k`` uniforms in [0, 1).
+        """Lend the stream to numpy; yields a ``words(k)`` of the next ``k`` raw words.
+
+        ``words(k)`` returns a ``<u4`` array, the values ``k`` calls of
+        ``getrandbits(32)`` return.
 
         On entry the generator's state goes to this stream's numpy
         twister; on exit, also on an error, the advanced state comes
@@ -61,16 +67,22 @@ class Rng:
         if twister is None:
             twister = self._twister = np.random.RandomState(0)  # seeded only to skip reading OS entropy
         twister.set_state(("MT19937", np.array(internal[:-1], dtype=np.uint32), internal[-1]))
+
+        def words(k):
+            if not k:  # bytes(0) would still take a word
+                return np.empty(0, dtype="<u4")
+            return np.frombuffer(twister.bytes(4 * k), dtype="<u4")
+
         try:
-            yield twister.random_sample
+            yield words
         finally:
             _, key, pos = twister.get_state()[:3]
             generator.setstate((version, (*key.tolist(), pos), gauss_next))
 
-    def uniforms(self, k: int) -> np.ndarray:
-        """``k`` draws in [0, 1), the same values ``k`` calls of ``uniform()`` return."""
-        with self.bulk() as draw:
-            return draw(k)
+    def words(self, k: int) -> np.ndarray:
+        """``k`` raw words, the values ``k`` calls of ``getrandbits(32)`` return."""
+        with self.bulk() as words:
+            return words(k)
 
     def coin(self) -> int:
         """Fair bit: 1 with probability 1/2."""

@@ -2,10 +2,8 @@
 
 import hashlib
 import math
+import random
 import re
-import sys
-import threading
-import time
 import tracemalloc
 
 import numpy as np
@@ -37,28 +35,49 @@ def _flip_fraction(rng, bits, p):
     return [b ^ 1 if rng.uniform() < p else b for b in bits]
 
 
-def _scalar_nonempty_subset(rng, n):
-    """Ascending positions of a random nonempty subset of range(n), one draw per index.
+def _scalar_nonempty_row(plain, n):
+    """A random nonempty subset of range(n) from raw words: its ascending positions and its row's hex.
 
-    Each index is included with probability 1/2; an empty draw is rejected and drawn again.
+    The row is ceil(n/32) ``getrandbits(32)`` words, little-endian, cut
+    to ceil(n/8) bytes; position i is bit 7 - i % 8 of byte i // 8, and
+    the bits from n on are cleared.  An empty row is rejected and drawn
+    again.
     """
     while True:
-        subset = [i for i in range(n) if rng.uniform() < 0.5]
+        words = [plain.getrandbits(32) for _ in range(-(-n // 32))]
+        row = b"".join(word.to_bytes(4, "little") for word in words)[: -(-n // 8)]
+        pad = 8 * len(row) - n  # the row's bits past position n - 1
+        value = int.from_bytes(row, "big") >> pad << pad
+        subset = [i for i in range(n) if value >> (8 * len(row) - 1 - i) & 1]
         if subset:
-            return subset
+            return subset, value.to_bytes(len(row), "big").hex()
 
 
-def _scalar_privacy_amplify(key, k, s, rng, transcript):
-    """Amplification one subset at a time: the oracle for the chunked version."""
+def _scalar_privacy_amplify(key, k, s, plain, transcript):
+    """Amplification one subset at a time from a ``random.Random``: the oracle for the chunked version."""
     n = len(key)
     subsets = []
     final = []
     for _ in range(n - k - s):
-        subset = _scalar_nonempty_subset(rng, n)
-        transcript.post("alice", "pa-subset", ",".join(map(str, subset)))
+        subset, payload = _scalar_nonempty_row(plain, n)
+        transcript.post("alice", "pa-subset", payload)
         subsets.append(subset)
         final.append(_parity(key, subset))
     return final, subsets
+
+
+class _CountedLoans(Rng):
+    """An Rng that counts how often its stream is lent to numpy."""
+
+    __slots__ = ("loans",)
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.loans = 0
+
+    def bulk(self):
+        self.loans += 1
+        return super().bulk()
 
 
 @st.composite
@@ -245,6 +264,13 @@ class TestPrivacyAmplify:
         with pytest.raises(KeyExhausted):
             privacy_amplify([1, 0, 1], 2, 1, Rng(107), PublicTranscript())
 
+    def test_an_exhausted_key_draws_nothing(self):
+        rng = _CountedLoans(126)
+        with pytest.raises(KeyExhausted):
+            privacy_amplify([1, 0, 1], 2, 1, rng, PublicTranscript())
+        assert rng.loans == 0
+        assert rng.uniform() == Rng(126).uniform()
+
     def test_both_parties_agree_via_transcript(self):
         rng = Rng(108)
         key = _random_bits(rng, 64)
@@ -253,11 +279,14 @@ class TestPrivacyAmplify:
         assert len(final) == 64 - 5 - 3
 
     def test_subsets_are_posted(self):
+        # Each payload is the hex of the subset's packed row.
         t = PublicTranscript()
         _, subsets = privacy_amplify([1, 0, 1, 1, 0, 1], 1, 2, Rng(110), t)
         posted = [m for m in t if m.tag == "pa-subset"]
         assert len(posted) == len(subsets)
-        assert posted[0].payload == ",".join(map(str, next(iter(subsets))))
+        for message, subset in zip(posted, subsets):
+            row = np.frombuffer(bytes.fromhex(message.payload), dtype=np.uint8)
+            assert np.flatnonzero(np.unpackbits(row)).tolist() == list(subset)
 
     def test_desk_scale_information_bound(self):
         # Exhaustive-posterior oracle at n=12, k=4, s=3 over seeded
@@ -304,8 +333,8 @@ class TestPrivacyAmplify:
 
     def test_retained_memory_is_the_packed_rows(self):
         # The transcript keeps each chunk's block of packed rows, which
-        # the subsets read too, and the hex label tables, and renders
-        # its payloads from them when read.
+        # the subsets read too, and renders its payloads from them when
+        # read.
         key = _random_bits(Rng(115), 3400)
         transcript = PublicTranscript()
         tracemalloc.start()
@@ -333,153 +362,45 @@ class TestPrivacyAmplify:
         assert indices == sum(map(len, unpacked))
 
 
-
-class _Refused(Exception):
-    pass
-
-
-class _CountedLoans(Rng):
-    """An Rng that counts how often its stream is lent to numpy."""
-
-    __slots__ = ("loans",)
-
-    def __init__(self, seed):
-        super().__init__(seed)
-        self.loans = 0
-
-    def bulk(self):
-        self.loans += 1
-        return super().bulk()
-
-
-def _amplify_within(seconds, *args):
-    """privacy_amplify(*args) on its own thread: its result or its error, or a failure if it hangs."""
-    outcome = []
-
-    def call():
-        try:
-            outcome.append(privacy_amplify(*args))
-        except Exception as error:
-            outcome.append(error)
-
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(seconds)
-    assert not caller.is_alive(), f"privacy_amplify still running after {seconds} s"
-    if isinstance(outcome[0], Exception):
-        raise outcome[0]
-    return outcome[0]
-
-
-class TestAmplificationThread:
-    """The helper thread that draws amplification's rows starts and ends inside one call."""
-
-    def test_rapid_switching_keeps_the_oracle_output_and_one_loan(self):
-        key = _random_bits(Rng(120), 300)
-        rng, transcript, before = _CountedLoans(121), PublicTranscript(), threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # hand the interpreter lock between the threads as often as it allows
-        try:
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(distill, "PA_CHUNK_DRAWS", 3000)  # ten rows per chunk, 28 chunks
-                final, _ = _amplify_within(60, key, 0, 20, rng, transcript)
-        finally:
-            sys.setswitchinterval(interval)
-        oracle_rng, oracle_t = Rng(121), PublicTranscript()
-        assert final == _scalar_privacy_amplify(key, 0, 20, oracle_rng, oracle_t)[0]
-        assert transcript.digest() == oracle_t.digest()
-        assert rng.uniform() == oracle_rng.uniform()
-        assert rng.loans == 1
-        assert threading.active_count() == before
-
-    def test_a_posting_error_reaches_the_caller_and_stops_the_draws(self):
-        class RefusingTranscript(PublicTranscript):
-            def post_lines(self, sender, tag, hexed):
-                time.sleep(0.05)  # time for the producer to run ahead of the posting
-                raise _Refused("transcript closed")
-
-        key = _random_bits(Rng(122), 300)
-        before = threading.active_count()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(distill, "PA_CHUNK_DRAWS", 300)  # one row per chunk
-            with pytest.raises(_Refused, match="transcript closed"):
-                _amplify_within(60, key, 0, 20, Rng(123), RefusingTranscript())
-        assert threading.active_count() == before
-
-    def test_a_drawing_error_reaches_the_caller_from_the_thread(self):
-        packbits, calls, escaped = np.packbits, [], []
-
-        def packbits_failing_on_the_second_chunk(*args, **kwargs):
-            # Call 1 packs the key before the producer starts; calls 2 and on pack its chunks.
-            calls.append(None)
-            if len(calls) == 3:
-                raise _Refused("out of bits")
-            return packbits(*args, **kwargs)
-
-        key = _random_bits(Rng(124), 300)
-        transcript, before = PublicTranscript(), threading.active_count()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(distill, "PA_CHUNK_DRAWS", 3000)
-            patch.setattr(np, "packbits", packbits_failing_on_the_second_chunk)
-            patch.setattr(threading, "excepthook", escaped.append)
-            with pytest.raises(_Refused, match="out of bits"):
-                _amplify_within(60, key, 0, 20, Rng(125), transcript)
-        assert escaped == []
-        assert len(transcript) == 10  # the first chunk's rows were posted
-        assert threading.active_count() == before
-
-    def test_an_exhausted_key_starts_no_thread(self):
-        def refuse(_thread):
-            raise AssertionError("started a thread")
-
-        rng = Rng(126)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(threading.Thread, "start", refuse)
-            with pytest.raises(KeyExhausted):
-                privacy_amplify([1, 0, 1], 2, 1, rng, PublicTranscript())
-        assert rng.uniform() == Rng(126).uniform()
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     offset=st.integers(0, 2000),
     case=_amplification_case(),
-    chunk_draws=st.integers(1, 5000),  # down to one row per chunk
+    chunk_bytes=st.integers(1, 5000),  # from under one row (one row a chunk) to past the whole key
 )
 # One- to three-bit keys draw empty rows often; each is redrawn.
-@example(seed=23, offset=0, case=([1], [0], 0, 0), chunk_draws=distill.PA_CHUNK_DRAWS)
-@example(seed=5, offset=3, case=([0, 1], [1, 1], 0, 0), chunk_draws=distill.PA_CHUNK_DRAWS)
-@example(seed=9, offset=1, case=([1, 0, 1], [0, 0, 1], 0, 0), chunk_draws=distill.PA_CHUNK_DRAWS)
-# Keys past 1,000 bits render four-digit labels next to three-digit ones.
-@example(seed=31, offset=0, case=([1, 0, 0] * 334, [0, 1] * 501, 980, 8), chunk_draws=1)
-@example(seed=32, offset=7, case=([0, 1, 1, 0] * 275, [1] * 1100, 1000, 40), chunk_draws=5000)
-@example(seed=33, offset=2, case=([1] * 1001, [0, 1, 1] * 333 + [1, 0], 990, 0), chunk_draws=2500)
-# Keys of 9, 10, 11, 99, 100 and 101 bits: their last index sits on either side of a label-width boundary.
-@example(seed=34, offset=0, case=([1, 0, 1] * 3, [0] * 9, 1, 2), chunk_draws=20)
-@example(seed=35, offset=1, case=([0, 1] * 5, [1] * 10, 2, 1), chunk_draws=distill.PA_CHUNK_DRAWS)
-@example(seed=36, offset=0, case=([1] * 11, [0, 1] * 5 + [1], 0, 0), chunk_draws=30)
-@example(seed=37, offset=4, case=([1, 1, 0] * 33, [0, 1, 0] * 33, 60, 9), chunk_draws=250)
-@example(seed=38, offset=0, case=([0, 1] * 50, [1, 0, 0, 1] * 25, 70, 5), chunk_draws=distill.PA_CHUNK_DRAWS)
-@example(seed=39, offset=2, case=([1] * 101, [0, 1] * 50 + [0], 81, 3), chunk_draws=101)
-# A 10,001-bit key draws three rows of five-digit labels after shorter ones.
-@example(seed=40, offset=0, case=([1, 0] * 5000 + [1], [0, 1, 1] * 3333 + [0, 1], 9998, 0), chunk_draws=10_001)
-def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_draws):
+@example(seed=23, offset=0, case=([1], [0], 0, 0), chunk_bytes=distill.PA_CHUNK_BYTES)
+@example(seed=5, offset=3, case=([0, 1], [1, 1], 0, 0), chunk_bytes=distill.PA_CHUNK_BYTES)
+@example(seed=9, offset=1, case=([1, 0, 1], [0, 0, 1], 0, 0), chunk_bytes=4)
+# Keys on either side of a byte and of a word: 7, 8, 9, 31, 32, 33, 64 and 65 bits.
+@example(seed=30, offset=0, case=([1, 0] * 3 + [1], [0] * 7, 0, 0), chunk_bytes=4)
+@example(seed=31, offset=1, case=([1, 1, 0, 0] * 2, [1] * 8, 1, 0), chunk_bytes=12)
+@example(seed=32, offset=0, case=([0, 1, 1] * 3, [1, 0, 1] * 3, 2, 1), chunk_bytes=distill.PA_CHUNK_BYTES)
+@example(seed=33, offset=5, case=([1] * 31, [0, 1] * 15 + [0], 0, 0), chunk_bytes=20)
+@example(seed=34, offset=0, case=([0, 1] * 16, [1, 1, 0, 0] * 8, 10, 2), chunk_bytes=4)
+@example(seed=35, offset=2, case=([1, 0, 0] * 11, [1] * 33, 0, 0), chunk_bytes=8 * 33)
+@example(seed=36, offset=0, case=([1, 1, 0, 1] * 16, [0] * 64, 30, 3), chunk_bytes=16)
+@example(seed=37, offset=3, case=([0, 1] * 32 + [1], [1, 0] * 32 + [0], 0, 0), chunk_bytes=12 * 65)
+# A 10,001-bit key draws 313 words a row, in chunks of one row and of the whole key.
+@example(seed=40, offset=0, case=([1, 0] * 5000 + [1], [0, 1, 1] * 3333 + [0, 1], 9998, 0), chunk_bytes=1)
+@example(seed=41, offset=1, case=([0, 1] * 5000 + [0], [1, 1, 0] * 3333 + [1, 0], 9995, 0), chunk_bytes=distill.PA_CHUNK_BYTES)
+def test_privacy_amplify_matches_scalar_oracle(seed, offset, case, chunk_bytes):
     key, other, k, s = case
-    fast_rng, oracle_rng = Rng(seed), Rng(seed)
+    fast_rng, plain = _CountedLoans(seed), random.Random(seed)
     for _ in range(offset):
-        fast_rng.uniform()
-        oracle_rng.uniform()
+        assert fast_rng.uniform() == plain.random()
     fast_t, oracle_t = PublicTranscript(), PublicTranscript()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(distill, "PA_CHUNK_DRAWS", chunk_draws)
+        patch.setattr(distill, "PA_CHUNK_BYTES", chunk_bytes)
         final, subsets = privacy_amplify(key, k, s, fast_rng, fast_t)
-    want_final, want_subsets = _scalar_privacy_amplify(key, k, s, oracle_rng, oracle_t)
+    want_final, want_subsets = _scalar_privacy_amplify(key, k, s, plain, oracle_t)
     assert final == want_final
     assert [m.payload for m in fast_t] == [m.payload for m in oracle_t]
     # The hashed lines and the lines read come from the same rendering of the rows.
     assert fast_t.digest() == oracle_t.digest() == hashlib.sha256(fast_t.serialize().encode("utf-8")).hexdigest()
     assert [list(subset) for subset in subsets] == want_subsets
-    assert fast_rng.uniform() == oracle_rng.uniform()
+    assert fast_rng.loans == 1
+    assert fast_rng.uniform() == plain.random()
     want_parities = [_parity(other, subset) for subset in want_subsets]
     assert apply_subsets(other, subsets) == apply_subsets(other, want_subsets) == want_parities

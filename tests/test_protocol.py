@@ -304,10 +304,11 @@ class TestRunSession:
                 assert report.error_rate == 0.0
                 assert report.final_key_alice == report.final_key_bob
 
-    @pytest.mark.parametrize("seed", [178, 242])
+    @pytest.mark.parametrize("seed", [25, 268])
     def test_differing_final_keys_are_an_abort(self, seed):
         # The error sample underestimates a 6% flip rate, reconciliation
         # leaves errors behind, and amplification spreads them over both keys.
+        # These are the only two of seeds 0-399 that do so under schema 2.
         cfg = SessionConfig("bb84", 1500, noise=NoiseModel(flip_p=0.06), r_max=0.2, seed=seed)
         report = run_session(cfg)
         assert report.aborted

@@ -13,7 +13,6 @@ import pytest
 from qkdsim import (
     SessionConfig,
     build_document,
-    distill,
     identity_translucent,
     run_session,
     translucent_swap_attack,
@@ -209,9 +208,10 @@ class TestRunCommand:
             assert type(doc[field]) is type(want)
 
     def test_dump_transcript(self, capsys, tmp_path):
-        # At PA_CHUNK_DRAWS = 1 << 17, 300 pulses post amplification's subsets in one chunk,
-        # 2000 in six, and 4000 reconcile past 1,000 bits, so four-digit labels follow shorter ones.
-        for n, chunks in (("300", 1), ("2000", 6), ("4000", 23)):
+        # Each pa-subset payload is the hex of a nonempty packed row over the
+        # reconciled key, its bits from reconciled_length on cleared; none
+        # of the three keys (126, 873 and 1716 bits) fills its last byte.
+        for n in ("300", "2000", "4000"):
             path = tmp_path / f"transcript-{n}.log"
             code, out, _ = run_cli(
                 capsys, ["run", "--n", n, "--seed", "4", "--dump-transcript", str(path)]
@@ -220,14 +220,17 @@ class TestRunCommand:
             doc = json.loads(out)
             body = path.read_text()
             assert body
-            pa_lines = 0
+            length, pa_lines = doc["reconciled_length"], 0
             for line in body.splitlines():
                 sender, tag, payload_hex = line.split("\t")
                 assert sender in ("alice", "bob")
-                bytes.fromhex(payload_hex)
-                pa_lines += tag == "pa-subset"
-            rows_per_chunk = distill.PA_CHUNK_DRAWS // doc["reconciled_length"]
-            assert math.ceil(pa_lines / rows_per_chunk) == chunks
+                payload = bytes.fromhex(payload_hex)
+                if tag == "pa-subset":
+                    row = int.from_bytes(bytes.fromhex(payload.decode("ascii")), "big")
+                    assert len(payload) == 2 * math.ceil(length / 8)
+                    assert row and row % 2 ** (-length % 8) == 0
+                    pa_lines += 1
+            assert pa_lines == doc["final_key_length"]
             assert hashlib.sha256(path.read_bytes()).hexdigest() == doc["transcript_digest"]
 
     def test_full_interception_signature(self, capsys):

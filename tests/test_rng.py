@@ -1,4 +1,4 @@
-"""The seeded stream: bulk draws against single draws."""
+"""The seeded stream: bulk draws of raw words against single draws."""
 
 import random
 
@@ -21,18 +21,16 @@ def test_pick_weighted_all_zero_weights_lands_in_last_bucket():
     offset=st.integers(0, 2000),
     k=st.integers(0, 5000),
 )
-def test_uniforms_match_single_draws(seed, offset, k):
-    # 5000 draws take 10,000 words, so the bulk draw crosses the
-    # generator's 624-word regeneration many times from any offset.
-    bulk, single = Rng(seed), Rng(seed)
-    for _ in range(offset):
-        bulk.uniform()
-        single.uniform()
+def test_words_match_single_draws(seed, offset, k):
+    # 5000 words cross the generator's 624-word regeneration several
+    # times from any offset; an odd offset leaves the stream mid-double.
+    bulk, plain = Rng(seed), random.Random(seed)
+    assert bulk.words(offset).tolist() == [plain.getrandbits(32) for _ in range(offset)]
     generator = bulk._random.__self__
-    assert bulk.uniforms(k).tolist() == [single.uniform() for _ in range(k)]
-    assert bulk.uniform() == single.uniform()
+    assert bulk.words(k).tolist() == [plain.getrandbits(32) for _ in range(k)]
+    assert bulk.uniform() == plain.random()
     assert bulk._random.__self__ is generator
-    assert generator.getstate() == single._random.__self__.getstate()
+    assert generator.getstate() == plain.getstate()
 
 
 @settings(max_examples=60, deadline=None)
@@ -43,13 +41,13 @@ def test_uniforms_match_single_draws(seed, offset, k):
             st.just(("uniform", None)),
             st.just(("coin", None)),
             st.tuples(st.just("below"), st.integers(1, 10**9)),
-            st.tuples(st.just("uniforms"), st.integers(0, 1500)),
+            st.tuples(st.just("words"), st.integers(0, 1500)),
         ),
         max_size=24,
     ),
 )
 def test_interleaved_draws_follow_one_stream_and_one_twister(seed, draws):
-    # uniform, coin and below read one random() each, uniforms(k) k of them: all one sequence.
+    # uniform, coin and below read one random() each, words(k) k getrandbits(32): all one sequence.
     rng, plain = Rng(seed), random.Random(seed)
     twisters = []
     for name, arg in draws:
@@ -60,7 +58,7 @@ def test_interleaved_draws_follow_one_stream_and_one_twister(seed, draws):
         elif name == "below":
             assert rng.below(arg) == min(int(plain.random() * arg), arg - 1)
         else:
-            assert rng.uniforms(arg).tolist() == [plain.random() for _ in range(arg)]
+            assert rng.words(arg).tolist() == [plain.getrandbits(32) for _ in range(arg)]
             twisters.append(rng._twister)
     assert rng._random.__self__.getstate() == plain.getstate()
     assert all(twister is twisters[0] for twister in twisters)
@@ -79,7 +77,7 @@ def test_interleaved_draws_follow_one_stream_and_one_twister(seed, draws):
     ),
 )
 def test_draws_under_one_loan_follow_one_stream(seed, draws):
-    # Several draw(k) under one bulk(), between scalar draws, read random() in turn.
+    # Several words(k) under one bulk(), between scalar draws, read getrandbits(32) in turn.
     rng, plain = Rng(seed), random.Random(seed)
     for name, arg in draws:
         if name == "uniform":
@@ -87,19 +85,19 @@ def test_draws_under_one_loan_follow_one_stream(seed, draws):
         elif name == "coin":
             assert rng.coin() == (1 if plain.random() < 0.5 else 0)
         else:
-            with rng.bulk() as draw:
+            with rng.bulk() as words:
                 for k in arg:
-                    assert draw(k).tolist() == [plain.random() for _ in range(k)]
+                    assert words(k).tolist() == [plain.getrandbits(32) for _ in range(k)]
     assert rng._random.__self__.getstate() == plain.getstate()
 
 
 def test_an_error_inside_a_loan_keeps_the_draws_made():
     rng, plain = Rng(41), random.Random(41)
     with pytest.raises(RuntimeError, match="mid-loan"):
-        with rng.bulk() as draw:
-            drawn = draw(700).tolist() + draw(300).tolist()
+        with rng.bulk() as words:
+            drawn = words(701).tolist() + words(299).tolist()
             raise RuntimeError("mid-loan")
-    assert drawn == [plain.random() for _ in range(1000)]
+    assert drawn == [plain.getrandbits(32) for _ in range(1000)]
     assert rng.uniform() == plain.random()
     assert rng._random.__self__.getstate() == plain.getstate()
 
