@@ -16,14 +16,17 @@ because the protocols treat all non-receptions identically.
 The classical side is :class:`PublicTranscript`, an append-only message
 log that every party -- including the eavesdropper -- can read.  It
 hashes each message's serialized line as the message is posted, so its
-digest costs nothing at the end of a session.  A run of messages posted
-together, such as privacy amplification's subsets, is kept as the
-function that renders their payloads' hex: the transcript hashes that
-hex as it is posted, and unhexlifies it into messages each time they
-are read, so their payloads exist only in those reads.
+digest costs nothing at the end of a session.  A run of built messages,
+such as reconciliation's parities, is posted with one hash update over
+its lines.  A run of messages from their payloads' hex, such as privacy
+amplification's subsets, is kept as the function that renders that
+hex: the transcript hashes the hex as it is posted, and unhexlifies it
+into messages each time they are read, so their payloads exist only in
+those reads.
 """
 
 import binascii
+import functools
 import hashlib
 import numbers
 from collections.abc import Callable, Iterable
@@ -59,6 +62,11 @@ class Message:
     def line(self) -> str:
         return f"{self.sender}\t{self.tag}\t{self.payload.encode('utf-8').hex()}\n"
 
+    @functools.cached_property
+    def _line_bytes(self) -> bytes:
+        """``line()`` in UTF-8, rendered on first use and kept on the message."""
+        return self.line().encode("utf-8")
+
 
 @dataclass(frozen=True)
 class _Lines:
@@ -78,8 +86,9 @@ class PublicTranscript:
 
     An entry is one :class:`Message`, or a run of messages posted by
     :meth:`post_lines` that keeps only the function rendering their
-    payloads' hex.  A running SHA-256 takes each message's serialized line
-    when it is posted, so :meth:`digest` renders nothing.
+    payloads' hex; :meth:`post_messages` adds one entry per message.  A
+    running SHA-256 takes each message's serialized line when it is
+    posted, so :meth:`digest` renders nothing.
     """
 
     def __init__(self):
@@ -92,6 +101,17 @@ class PublicTranscript:
         self._entries.append(msg)
         self._count += 1
         self._sha.update(msg.line().encode("utf-8"))
+
+    def post_messages(self, messages) -> None:
+        """Post a list of built :class:`Message` objects in order, hashing their lines in one update.
+
+        Each message's line is rendered once and kept on it, so a run
+        that repeats a few messages, such as reconciliation's parities,
+        renders only those.  A run of no messages posts nothing.
+        """
+        self._entries.extend(messages)
+        self._count += len(messages)
+        self._sha.update(b"".join([msg._line_bytes for msg in messages]))
 
     def post_lines(self, sender: str, tag: str, hexed: Callable[[], Iterable]) -> None:
         """Post one message for each payload whose hex ``hexed()`` yields.

@@ -13,6 +13,13 @@ After ``MAX_PASSES`` passes, random-subset parity checks with the same
 bisective repair run until ``N_CLEAN`` consecutive checks agree.  Each
 check discards a live bit, so this phase ends before the key runs out.
 
+The keys never change, only which of their positions live, so each
+unit (a pass's permuted order, or one check's subset) takes prefix
+XORs of both keys over its positions once; every block and every half
+a bisection compares is a range of the unit, whose parities are two
+lookups.  A pass's or a check's parity messages are posted as one run,
+after its ``perm`` or ``subset`` message.
+
 Privacy amplification then maps the reconciled key of length ``n`` to
 ``n - k - s`` bits, where ``k`` bounds what an eavesdropper may know and
 ``s`` is the security parameter: that many random nonempty subsets are
@@ -23,12 +30,13 @@ little-endian bytes, cut to ``ceil(n / 8)`` bytes, read as an
 ``np.packbits`` row (key position ``i`` is bit ``7 - i % 8`` of byte
 ``i // 8``), with the bits from ``n`` up cleared.  An empty row is
 dropped and the next row takes its place.  Reconciliation's subset
-checks draw their rows by the same rule, one row at a time from
-:meth:`Rng.words`; amplification draws its rows a chunk at a time, at
-most ``PA_CHUNK_BYTES`` of words, all under one loan of the stream,
-:meth:`Rng.bulk`.  Every row takes the same number of words, so the
-chunk size cannot change a byte of output, and the last chunk draws
-only the rows still wanted.
+checks draw their rows by the same rule, one row per check; all of
+reconciliation, its shuffles (:func:`~qkdsim.rng.shuffle`) included,
+draws under one loan of the stream, :meth:`Rng.bulk`.  Amplification
+draws its rows under a loan of its own, a chunk at a time, at most
+``PA_CHUNK_BYTES`` of words.  Every row takes the same number of words,
+so the chunk size cannot change a byte of output, and the last chunk
+draws only the rows still wanted.
 
 A posted subset's payload is its row's hex.  A chunk's accepted rows
 are kept as one block of packed rows beside the rows' sizes, and the
@@ -48,7 +56,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import Message
 from .errors import KeyExhausted
+from .rng import shuffle
 
 N_CLEAN = 10  # consecutive clean subset checks that end reconciliation
 MAX_PASSES = 4  # permute-and-partition passes before the subset checks
@@ -75,69 +85,82 @@ class DistillAccounting:
     max_bisection_depth: int = 0
 
 
-def _parity(key, positions) -> int:
-    p = 0
-    for i in positions:
-        p ^= key[i]
-    return p
+# A compared unit's two parity messages, Alice's then Bob's, indexed by 2 * her parity + his.
+_PARITY_PAIRS = tuple(
+    (Message("alice", "parity", str(code >> 1)), Message("bob", "parity", str(code & 1))) for code in range(4)
+)
 
 
-class _Reconciler:
-    def __init__(self, key_a, key_b, transcript, acct):
-        self.key_a = key_a
-        self.key_b = key_b
-        self.alive = [True] * len(key_a)
+class _Exchange:
+    """One reconciliation's state, with the unit its checks index into.
+
+    The keys are one array of two-bit codes, 2 * Alice's bit + Bob's
+    bit at each position.  A unit is an ordered array of positions (a
+    pass's permuted order, or a subset check's positions); ``prefix[k]``
+    is the XOR of the codes at its first ``k``, so the parities of any
+    range ``[lo, hi)`` of it are ``prefix[hi] ^ prefix[lo]``.  Parity
+    messages gather in ``run`` until :meth:`post_parities` posts them.
+    """
+
+    def __init__(self, codes, transcript, acct):
+        self.codes = codes
+        self.alive = np.ones(len(codes), dtype=bool)
         self.transcript = transcript
         self.acct = acct
+        self.run = []
 
-    def alive_positions(self):
-        return [i for i, ok in enumerate(self.alive) if ok]
+    def unit(self, order) -> None:
+        prefix = np.zeros(len(order) + 1, dtype=np.uint8)
+        np.bitwise_xor.accumulate(self.codes[order], out=prefix[1:])
+        self.order = order
+        self.prefix = prefix.tolist()
 
-    def compare(self, positions) -> bool:
-        """Post both parities over ``positions``, then discard the last position.
+    def compare(self, lo: int, hi: int) -> bool:
+        """Queue both parities over the unit's ``[lo, hi)``, then discard its last position.
 
         Returns True when the parities disagree.
         """
-        pa = _parity(self.key_a, positions)
-        pb = _parity(self.key_b, positions)
-        self.transcript.post("alice", "parity", str(pa))
-        self.transcript.post("bob", "parity", str(pb))
+        code = self.prefix[hi] ^ self.prefix[lo]
+        self.run.extend(_PARITY_PAIRS[code])
         self.acct.parity_bits_disclosed += 1
-        self.alive[positions[-1]] = False
+        self.alive[self.order[hi - 1]] = False
         self.acct.bits_discarded += 1
-        return pa != pb
+        return code == 1 or code == 2
 
-    def bisect(self, positions, depth=1) -> None:
-        """Locate and delete one erroneous bit among ``positions``.
+    def bisect(self, lo: int, hi: int, depth=1) -> None:
+        """Locate and delete one erroneous bit in the unit's ``[lo, hi)``.
 
         The error may already have fallen to a discard, in which case
         some level finds both halves agreeing and the search stops.
         """
         self.acct.max_bisection_depth = max(self.acct.max_bisection_depth, depth)
-        if not positions:
+        if hi == lo:
             return
-        if len(positions) == 1:
-            self.compare(positions)
+        if hi - lo == 1:
+            self.compare(lo, hi)
             return
-        mid = len(positions) // 2
-        left, right = positions[:mid], positions[mid:]
-        left_bad = self.compare(left)
-        right_bad = self.compare(right)
+        mid = (lo + hi) // 2
+        left_bad = self.compare(lo, mid)
+        right_bad = self.compare(mid, hi)
         if left_bad:
-            self.bisect(left[:-1], depth + 1)
+            self.bisect(lo, mid - 1, depth + 1)
         elif right_bad:
-            self.bisect(right[:-1], depth + 1)
+            self.bisect(mid, hi - 1, depth + 1)
 
-    def check(self, positions) -> bool:
-        """Compare parities over ``positions``; on a disagreement, bisect out one error.
+    def check(self, lo: int, hi: int) -> bool:
+        """Compare parities over the unit's ``[lo, hi)``; on a disagreement, bisect out one error.
 
         Returns True when the parities disagreed.
         """
-        if not self.compare(positions):
+        if not self.compare(lo, hi):
             return False
-        self.bisect(positions[:-1])
+        self.bisect(lo, hi - 1)
         self.acct.bisections += 1
         return True
+
+    def post_parities(self) -> None:
+        self.transcript.post_messages(self.run)
+        self.run = []
 
 
 def reconcile(key_a, key_b, rate, rng, transcript):
@@ -147,7 +170,9 @@ def reconcile(key_a, key_b, rate, rng, transcript):
     ``N_CLEAN`` consecutive ones agree.  Both phases check a unit with
     the same step: compare its parities and, if they disagree, bisect
     out one error.  Every check discards a live bit, so the subset phase
-    ends within ``len(key_a)`` checks.
+    ends within ``len(key_a)`` checks.  All draws are raw words of one
+    :meth:`Rng.bulk` loan: each pass's :func:`~qkdsim.rng.shuffle` and
+    each check's row.
 
     Parameters
     ----------
@@ -168,34 +193,37 @@ def reconcile(key_a, key_b, rate, rng, transcript):
     if len(key_a) != len(key_b):
         raise ValueError("keys must have equal length")
     acct = DistillAccounting()
-    state = _Reconciler(list(key_a), list(key_b), transcript, acct)
+    codes = 2 * np.asarray(key_a, dtype=np.uint8) + np.asarray(key_b, dtype=np.uint8)
+    state = _Exchange(codes, transcript, acct)
 
-    for _ in range(MAX_PASSES):
-        positions = state.alive_positions()
-        if not positions:
-            break
-        length = default_block_policy(rate, len(positions))
-        perm = rng.permutation(len(positions))
-        transcript.post("alice", "perm", ",".join(map(str, perm)))
-        order = [positions[j] for j in perm]
-        for start in range(0, len(order), length):
-            state.check(order[start : start + length])
+    with rng.bulk() as words:
+        for _ in range(MAX_PASSES):
+            positions = np.flatnonzero(state.alive)
+            if not len(positions):
+                break
+            length = default_block_policy(rate, len(positions))
+            perm = shuffle(words, len(positions))
+            transcript.post("alice", "perm", ",".join(map(str, perm)))
+            state.unit(positions[perm])
+            for start in range(0, len(positions), length):
+                state.check(start, min(start + length, len(positions)))
+            state.post_parities()
 
-    clean = 0
-    while clean < N_CLEAN:
-        positions = state.alive_positions()
-        if not positions:
-            break
-        rows = ()
-        while not len(rows):  # an empty row is redrawn, as in privacy amplification
-            rows, _ = _draw_rows(rng.words, len(positions), 1)
-        transcript.post("bob", "subset", rows[0].tobytes().hex())
-        rel = np.flatnonzero(np.unpackbits(rows[0], count=len(positions))).tolist()
-        clean = 0 if state.check([positions[j] for j in rel]) else clean + 1
+        clean = 0
+        while clean < N_CLEAN:
+            positions = np.flatnonzero(state.alive)
+            if not len(positions):
+                break
+            rows = ()
+            while not len(rows):  # an empty row is redrawn, as in privacy amplification
+                rows, _ = _draw_rows(words, len(positions), 1)
+            transcript.post("bob", "subset", rows[0].tobytes().hex())
+            state.unit(positions[np.unpackbits(rows[0], count=len(positions)).view(bool)])
+            clean = 0 if state.check(0, len(state.order)) else clean + 1
+            state.post_parities()
 
-    rec_a = [state.key_a[i] for i, ok in enumerate(state.alive) if ok]
-    rec_b = [state.key_b[i] for i, ok in enumerate(state.alive) if ok]
-    return rec_a, rec_b, acct
+    kept = codes[state.alive]
+    return (kept >> 1).tolist(), (kept & 1).tolist(), acct
 
 
 def leaked_bits_bound(rate: float, n: int) -> int:

@@ -23,7 +23,8 @@ little-endian bytes, the words ``getrandbits(32)`` returns in turn, and
 hands the advanced state back when the loan ends, also when it ends in
 an error.  A bulk draw of ``k`` words is therefore the same sequence as
 ``k`` calls of ``getrandbits(32)``, and two words are what one
-``random()`` takes.  :meth:`Rng.bulk` is the only bridge between the
+``random()`` takes, so :func:`shuffle` makes ``permutation``'s draws
+from a loan's words.  :meth:`Rng.bulk` is the only bridge between the
 two generators; :meth:`Rng.words` is one draw under one loan.  While
 the stream is lent, the ``random.Random`` state is stale: no scalar
 draw may be made until the loan ends, or it would repeat the lent
@@ -117,3 +118,25 @@ class Rng:
     def sample_positions(self, n: int, m: int) -> list:
         """m distinct positions out of range(n), returned in ascending order."""
         return sorted(self.permutation(n)[:m])
+
+
+def shuffle(words, n: int) -> list:
+    """:meth:`Rng.permutation` of range(n), its draws taken from ``words(k)`` of a loan.
+
+    Each swap index takes two words ``a``, ``b`` and builds the double
+    ``random()`` builds from them, ``((a >> 5) * 2**26 + (b >> 6)) * 2**-53``
+    (exact in floating point), then ``j = min(int(u * (i + 1)), i)`` as
+    :meth:`Rng.below` does.  So under one :meth:`Rng.bulk` this is the
+    order, and the same ``2 * (n - 1)`` words, that ``permutation(n)``
+    gives; ``n < 2`` draws nothing.
+    """
+    order = list(range(n))
+    if n < 2:
+        return order
+    pairs = words(2 * (n - 1)).reshape(-1, 2)
+    u = ((pairs[:, 0] >> 5) * 67108864.0 + (pairs[:, 1] >> 6)) * (1.0 / 9007199254740992.0)
+    spans = np.arange(n, 1, -1)  # i + 1 for i = n - 1 ... 1
+    js = np.minimum((u * spans).astype(np.int64), spans - 1)
+    for i, j in zip(range(n - 1, 0, -1), js.tolist()):
+        order[i], order[j] = order[j], order[i]
+    return order

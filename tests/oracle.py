@@ -9,10 +9,15 @@ order, so on equal seeds the engine must give the same record, the same
 tap record and the same final stream state.
 
 It also holds a plain Fisher-Yates shuffle, the reference for
-``Rng.permutation`` and ``Rng.sample_positions``.
+``Rng.permutation``, ``Rng.sample_positions`` and ``rng.shuffle``, and
+reconciliation over Python lists, the reference for ``distill.reconcile``:
+it draws its shuffles through ``Rng.permutation`` and each subset row
+under a loan of its own, and posts each parity as it is compared.
 """
 
 import random
+
+import numpy as np
 
 from qkdsim import (
     Basis,
@@ -27,6 +32,7 @@ from qkdsim import (
     vh_alphabet,
 )
 from qkdsim.channel import flip_state
+from qkdsim.distill import MAX_PASSES, N_CLEAN, DistillAccounting, _draw_rows, default_block_policy
 from qkdsim.errors import NotHermitian, StateNotInAlphabet
 from qkdsim.protocol import Stage1Record
 from qkdsim.quantum import OPERATOR_TOL, quad_form
@@ -137,14 +143,141 @@ def run_stage1_b92(cfg, rng, tap) -> Stage1Record:
     return Stage1Record(alice_bits, received, bob_bits)
 
 
-def permutation(seed, n):
+def permutation(seed, n, offset=0):
     """Fisher-Yates shuffle of range(n) over ``random.Random(seed).random``, and that ``random``.
 
+    The shuffle starts after ``offset`` calls of ``getrandbits(32)``.
     Each swap index is ``int(u * (i + 1))``, clamped to ``i`` as ``Rng.below`` clamps it.
     """
-    draw = random.Random(seed).random
+    generator = random.Random(seed)
+    for _ in range(offset):
+        generator.getrandbits(32)
+    draw = generator.random
     order = list(range(n))
     for i in range(n - 1, 0, -1):
         j = min(int(draw() * (i + 1)), i)
         order[i], order[j] = order[j], order[i]
     return order, draw
+
+
+def _parity(key, positions) -> int:
+    p = 0
+    for i in positions:
+        p ^= key[i]
+    return p
+
+
+class _Reconciler:
+    def __init__(self, key_a, key_b, transcript, acct):
+        self.key_a = key_a
+        self.key_b = key_b
+        self.alive = [True] * len(key_a)
+        self.transcript = transcript
+        self.acct = acct
+
+    def alive_positions(self):
+        return [i for i, ok in enumerate(self.alive) if ok]
+
+    def compare(self, positions) -> bool:
+        """Post both parities over ``positions``, then discard the last position.
+
+        Returns True when the parities disagree.
+        """
+        pa = _parity(self.key_a, positions)
+        pb = _parity(self.key_b, positions)
+        self.transcript.post("alice", "parity", str(pa))
+        self.transcript.post("bob", "parity", str(pb))
+        self.acct.parity_bits_disclosed += 1
+        self.alive[positions[-1]] = False
+        self.acct.bits_discarded += 1
+        return pa != pb
+
+    def bisect(self, positions, depth=1) -> None:
+        """Locate and delete one erroneous bit among ``positions``.
+
+        The error may already have fallen to a discard, in which case
+        some level finds both halves agreeing and the search stops.
+        """
+        self.acct.max_bisection_depth = max(self.acct.max_bisection_depth, depth)
+        if not positions:
+            return
+        if len(positions) == 1:
+            self.compare(positions)
+            return
+        mid = len(positions) // 2
+        left, right = positions[:mid], positions[mid:]
+        left_bad = self.compare(left)
+        right_bad = self.compare(right)
+        if left_bad:
+            self.bisect(left[:-1], depth + 1)
+        elif right_bad:
+            self.bisect(right[:-1], depth + 1)
+
+    def check(self, positions) -> bool:
+        """Compare parities over ``positions``; on a disagreement, bisect out one error.
+
+        Returns True when the parities disagreed.
+        """
+        if not self.compare(positions):
+            return False
+        self.bisect(positions[:-1])
+        self.acct.bisections += 1
+        return True
+
+
+def reconcile_oracle(key_a, key_b, rate, rng, transcript):
+    """``distill.reconcile`` over lists, with scalar shuffles and one loan per subset row.
+
+    Runs ``MAX_PASSES`` block passes, then random-subset checks until
+    ``N_CLEAN`` consecutive ones agree.  Both phases check a unit with
+    the same step: compare its parities and, if they disagree, bisect
+    out one error.  Every check discards a live bit, so the subset phase
+    ends within ``len(key_a)`` checks.
+
+    Parameters
+    ----------
+    key_a, key_b : sequences of 0/1
+        The two remnant raw keys.
+    rate : float
+        The error-rate estimate driving :func:`default_block_policy`.
+    rng : Rng
+        Shared stream for permutations and subset draws.
+    transcript : PublicTranscript
+        Every permutation, subset, and parity lands here.
+
+    Returns
+    -------
+    (rec_a, rec_b, accounting)
+        Equal-length output keys and the exchange bookkeeping.
+    """
+    if len(key_a) != len(key_b):
+        raise ValueError("keys must have equal length")
+    acct = DistillAccounting()
+    state = _Reconciler(list(key_a), list(key_b), transcript, acct)
+
+    for _ in range(MAX_PASSES):
+        positions = state.alive_positions()
+        if not positions:
+            break
+        length = default_block_policy(rate, len(positions))
+        perm = rng.permutation(len(positions))
+        transcript.post("alice", "perm", ",".join(map(str, perm)))
+        order = [positions[j] for j in perm]
+        for start in range(0, len(order), length):
+            state.check(order[start : start + length])
+
+    clean = 0
+    while clean < N_CLEAN:
+        positions = state.alive_positions()
+        if not positions:
+            break
+        rows = ()
+        while not len(rows):  # an empty row is redrawn, as in privacy amplification
+            rows, _ = _draw_rows(rng.words, len(positions), 1)
+        transcript.post("bob", "subset", rows[0].tobytes().hex())
+        rel = np.flatnonzero(np.unpackbits(rows[0], count=len(positions))).tolist()
+        clean = 0 if state.check([positions[j] for j in rel]) else clean + 1
+
+    rec_a = [state.key_a[i] for i, ok in enumerate(state.alive) if ok]
+    rec_b = [state.key_b[i] for i, ok in enumerate(state.alive) if ok]
+    return rec_a, rec_b, acct

@@ -4,7 +4,7 @@ import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import (
@@ -223,10 +223,20 @@ _CHUNK_LINES = st.one_of(
     st.lists(st.integers(0, 20_000).map(str), min_size=1, max_size=6),  # rows of one index
     st.lists(st.text("0123456789,", max_size=30), max_size=6),
 )
+_PAYLOADS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)
 _POSTS = st.lists(
     st.one_of(
-        st.tuples(st.just("post"), _SENDERS, _TAGS, st.text(st.characters(blacklist_categories=("Cs",)), max_size=20)),
+        st.tuples(st.just("post"), _SENDERS, _TAGS, _PAYLOADS),
         st.tuples(st.just("lines"), _SENDERS, _TAGS, _CHUNK_LINES),
+        # A run of built messages, some of them one object posted again.
+        st.tuples(
+            st.just("run"),
+            st.none(),
+            st.none(),
+            st.lists(st.builds(Message, _SENDERS, _TAGS, _PAYLOADS), max_size=4).flatmap(
+                lambda built: st.lists(st.sampled_from(built), max_size=12) if built else st.just([])
+            ),
+        ),
     ),
     max_size=12,
 )
@@ -244,18 +254,27 @@ def _hexed(lines):
     return hexed
 
 
+_PARITIES = [Message("alice", "parity", "1"), Message("bob", "parity", "0")]
+
+
 @settings(max_examples=200, deadline=None)
 @given(posts=_POSTS)
+# A run of two messages posted three times each, and an empty run, which posts nothing.
+@example(posts=[("post", "alice", "perm", "2,0,1"), ("run", None, None, _PARITIES * 3), ("run", None, None, [])])
 def test_transcript_matches_per_message_oracle(posts):
     fast, oracle = PublicTranscript(), MessageTranscript()
     for kind, sender, tag, body in posts:
         if kind == "post":
             fast.post(sender, tag, body)
             oracle.post(sender, tag, body)
-        else:
+        elif kind == "lines":
             fast.post_lines(sender, tag, _hexed(body))
             for line in body:
                 oracle.post(sender, tag, line)
+        else:
+            fast.post_messages(body)
+            for msg in body:
+                oracle.post(msg.sender, msg.tag, msg.payload)
     assert fast.digest() == hashlib.sha256(fast.serialize().encode("utf-8")).hexdigest()
     assert fast.digest() == oracle.digest()
     assert fast.serialize() == oracle.serialize()
@@ -294,3 +313,4 @@ def test_post_lines_renders_once_per_post_and_per_read():
     assert t.find("alice", "pa-subset") == Message("alice", "pa-subset", "1,2")
     assert t.find("bob", "pa-subset") is None
     assert renders == ["chunk", "empty", "chunk", "chunk", "chunk"]
+

@@ -20,8 +20,9 @@ from qkdsim import (
     reconcile,
 )
 from qkdsim import distill
-from qkdsim.distill import _parity, default_block_policy
+from qkdsim.distill import default_block_policy
 from qkdsim.errors import KeyExhausted
+from oracle import _parity, reconcile_oracle
 from util import subset_parity_information
 
 PA_BOUND_S3 = 0.5**3 / math.log(2)  # mean information ceiling at s = 3
@@ -189,6 +190,57 @@ def test_reconcile_ends_within_one_check_per_bit(keys, rate, seed):
     assert len(rec_a) == len(rec_b)
     assert sum(1 for m in t if m.tag == "subset") <= len(key_a)
     assert len(key_a) - len(rec_a) == acct.parity_bits_disclosed == acct.bits_discarded
+
+
+@st.composite
+def _reconcile_case(draw):
+    """(key_a, key_b, rate): up to 5000 bits, with no error, every bit wrong, one at either end, or random errors."""
+    n = draw(st.integers(0, 5000))
+    plain = random.Random(draw(st.integers(0, 2**32 - 1)))
+    key_a = [plain.getrandbits(1) for _ in range(n)]
+    pattern = draw(st.sampled_from(["none", "all", "first", "last", "random"]))
+    if pattern == "random":
+        p = draw(st.floats(0.0, 0.3))
+        errors = {i for i in range(n) if plain.random() < p}
+    else:
+        errors = {"none": set(), "all": set(range(n)), "first": {0}, "last": {n - 1}}[pattern]
+    key_b = [b ^ (i in errors) for i, b in enumerate(key_a)]
+    return key_a, key_b, draw(st.floats(0.0, 0.3))
+
+
+def _assert_reconcile_matches_oracle(key_a, key_b, rate, seed, offset=0):
+    fast_rng, slow_rng = _CountedLoans(seed), Rng(seed)
+    for rng in (fast_rng, slow_rng):
+        for _ in range(offset):
+            rng._random.__self__.getrandbits(32)
+    fast_t, slow_t = PublicTranscript(), PublicTranscript()
+    assert reconcile(key_a, key_b, rate, fast_rng, fast_t) == reconcile_oracle(key_a, key_b, rate, slow_rng, slow_t)
+    assert list(fast_t) == list(slow_t)
+    assert fast_t.digest() == slow_t.digest()
+    assert fast_rng.loans == 1
+    assert fast_rng._random.__self__.getrandbits(32) == slow_rng._random.__self__.getrandbits(32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_reconcile_case(), seed=st.integers(0, 2**32 - 1), offset=st.integers(0, 3))
+# No key: nothing posted, and one loan that leaves the stream where it was.
+@example(case=([], [], 0.0), seed=0, offset=0)
+@example(case=([1], [0], 0.3), seed=1, offset=1)
+@example(case=([0, 1] * 1000, [1, 0] * 1000, 0.3), seed=2, offset=0)
+@example(case=([1] * 400, [0] + [1] * 399, 0.0), seed=3, offset=1)
+@example(case=([1] * 400, [1] * 399 + [0], 0.02), seed=4, offset=0)
+def test_reconcile_matches_list_oracle(case, seed, offset):
+    # Same keys, accounting, transcript and stream state as reconciliation over lists.
+    _assert_reconcile_matches_oracle(*case, seed, offset)
+
+
+def test_reconcile_matches_list_oracle_at_200k_pulses():
+    # A 200k-pulse BB84 session at flip 0.02 (seed 1) reconciles 89,998 bits at an estimated
+    # rate of 0.0217 down to 67,403.
+    plain = random.Random(2000)
+    key_a = [plain.getrandbits(1) for _ in range(89_998)]
+    key_b = [b ^ (plain.random() < 0.02) for b in key_a]
+    _assert_reconcile_matches_oracle(key_a, key_b, 0.0217, 2001)
 
 
 class TestLeakedBitsBound:

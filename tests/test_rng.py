@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdsim import Rng
+from qkdsim.rng import shuffle
 import oracle
 
 
@@ -126,3 +127,28 @@ def test_permutation_and_sample_positions_match_fisher_yates(seed, n, m):
     assert rng.permutation(n) == order
     assert rng.uniform() == draw()
     assert Rng(seed).sample_positions(n, m) == sorted(order[:m])
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), offset=st.integers(0, 700), n=st.integers(0, 5000))
+# 2 * (313 - 1) words are one 624-word twist; 625 positions take two, and an odd offset
+# starts each double one word into a pair.
+@example(seed=0, offset=0, n=0)
+@example(seed=1, offset=1, n=1)
+@example(seed=2, offset=0, n=2)
+@example(seed=3, offset=1, n=3)
+@example(seed=4, offset=0, n=313)
+@example(seed=5, offset=1, n=313)
+@example(seed=6, offset=1, n=624)
+@example(seed=7, offset=0, n=625)
+@example(seed=8, offset=623, n=625)
+def test_shuffle_from_words_matches_permutation(seed, offset, n):
+    lent, scalar = Rng(seed), Rng(seed)
+    for rng in (lent, scalar):
+        for _ in range(offset):
+            rng._random.__self__.getrandbits(32)
+    order, draw = oracle.permutation(seed, n, offset)
+    with lent.bulk() as words:
+        assert shuffle(words, n) == scalar.permutation(n) == order
+    assert lent._random.__self__.getstate() == scalar._random.__self__.getstate()
+    assert lent.uniform() == draw()
